@@ -41,16 +41,27 @@ go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metric
 echo "== engine differential suite (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/
 
+# One experiments binary serves every smoke below.
+vexp=/tmp/vexp_ci
+go build -o "$vexp" ./cmd/experiments
+
+# twice_cmp NAME ARGS...: run the experiments binary twice with ARGS and
+# require byte-identical stdout.
+twice_cmp() {
+    name=$1
+    shift
+    "$vexp" "$@" > "/tmp/vexp_${name}_a.txt"
+    "$vexp" "$@" > "/tmp/vexp_${name}_b.txt"
+    cmp "/tmp/vexp_${name}_a.txt" "/tmp/vexp_${name}_b.txt"
+    rm -f "/tmp/vexp_${name}_a.txt" "/tmp/vexp_${name}_b.txt"
+}
+
 # Attribution smoke: the attrib experiment must produce byte-identical
 # reports across two runs of the same seed — the profiler is a deterministic
 # fold over the trace stream, and this catches any hidden-state leak the
 # in-package tests might scope too narrowly to see.
 echo "== attrib determinism smoke"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run attrib -scale 0.1 -seed 7 > /tmp/vexp_attrib_a.txt
-/tmp/vexp_ci -run attrib -scale 0.1 -seed 7 > /tmp/vexp_attrib_b.txt
-cmp /tmp/vexp_attrib_a.txt /tmp/vexp_attrib_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_attrib_a.txt /tmp/vexp_attrib_b.txt
+twice_cmp attrib -run attrib -scale 0.1 -seed 7
 
 # Examples smoke: every program under examples/ must not just compile but
 # run to completion — they are the documented entry points.
@@ -72,9 +83,8 @@ go test -run '^$' -bench 'BenchmarkEmit' -benchtime 1000x ./internal/vtrace/
 # BENCH_core.json at the repo root. The self-diff of that artifact must then
 # report zero regressions and exit 0, which exercises the -bench diff gate.
 echo "== simbench pipeline + diff smoke"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -bench core -smoke -out /tmp/vexp_bench_smoke.json > /dev/null
-/tmp/vexp_ci -bench diff /tmp/vexp_bench_smoke.json /tmp/vexp_bench_smoke.json > /dev/null
+"$vexp" -bench core -smoke -out /tmp/vexp_bench_smoke.json > /dev/null
+"$vexp" -bench diff /tmp/vexp_bench_smoke.json /tmp/vexp_bench_smoke.json > /dev/null
 rm -f /tmp/vexp_bench_smoke.json
 
 # Fleet-scale smoke: the fleetscale experiment at full scale — 1024
@@ -83,17 +93,16 @@ rm -f /tmp/vexp_bench_smoke.json
 # simulator does the whole thing in seconds) and pass its internal
 # serial==sharded snapshot byte-identity gate, which panics on divergence.
 echo "== fleetscale determinism smoke (full scale)"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run fleetscale -seed 42 > /dev/null
+"$vexp" -run fleetscale -seed 42 > /dev/null
 
 # Fleet benchmark pipeline: the -bench fleet smoke must emit a schema-valid
 # artifact and self-diff clean (exercising the lifetimes_per_sec metric in
 # the diff gate). The committed BENCH_fleet.json baseline must also still
 # parse and self-diff clean, so the recorded artifact can't rot silently.
 echo "== fleet bench pipeline + diff smoke"
-/tmp/vexp_ci -bench fleet -smoke -out /tmp/vexp_fleet_smoke.json > /dev/null
-/tmp/vexp_ci -bench diff /tmp/vexp_fleet_smoke.json /tmp/vexp_fleet_smoke.json > /dev/null
-/tmp/vexp_ci -bench diff BENCH_fleet.json BENCH_fleet.json > /dev/null
+"$vexp" -bench fleet -smoke -out /tmp/vexp_fleet_smoke.json > /dev/null
+"$vexp" -bench diff /tmp/vexp_fleet_smoke.json /tmp/vexp_fleet_smoke.json > /dev/null
+"$vexp" -bench diff BENCH_fleet.json BENCH_fleet.json > /dev/null
 rm -f /tmp/vexp_fleet_smoke.json
 
 # Telemetry byte-identity smoke: the fleetobs experiment panics internally if
@@ -101,10 +110,7 @@ rm -f /tmp/vexp_fleet_smoke.json
 # two full runs of the same seed (with -telemetry sparklines on stdout) must
 # be byte-identical.
 echo "== fleetobs telemetry determinism smoke"
-/tmp/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > /tmp/vexp_fleetobs_a.txt
-/tmp/vexp_ci -run fleetobs -scale 0.1 -seed 7 -telemetry > /tmp/vexp_fleetobs_b.txt
-cmp /tmp/vexp_fleetobs_a.txt /tmp/vexp_fleetobs_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_fleetobs_a.txt /tmp/vexp_fleetobs_b.txt
+twice_cmp fleetobs -run fleetobs -scale 0.1 -seed 7 -telemetry
 
 # Fault-tolerance smoke: the faulttol experiment embeds three panic gates
 # (serial==sharded snapshot bytes with faults active, recovery strictly
@@ -112,11 +118,7 @@ rm -f /tmp/vexp_ci /tmp/vexp_fleetobs_a.txt /tmp/vexp_fleetobs_b.txt
 # of finishing at full scale — 1024 hosts, 48 h, the whole crash/brownout/
 # stall schedule — two same-seed runs must be byte-identical.
 echo "== faulttol byte-identity smoke (full scale)"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run faulttol -seed 42 > /tmp/vexp_faulttol_a.txt
-/tmp/vexp_ci -run faulttol -seed 42 > /tmp/vexp_faulttol_b.txt
-cmp /tmp/vexp_faulttol_a.txt /tmp/vexp_faulttol_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_faulttol_a.txt /tmp/vexp_faulttol_b.txt
+twice_cmp faulttol -run faulttol -seed 42
 
 # Obsplane smoke: the obsplane experiment boots the embedded observability
 # server on an ephemeral port, streams the run's progress events over real
@@ -125,10 +127,7 @@ rm -f /tmp/vexp_ci /tmp/vexp_faulttol_a.txt /tmp/vexp_faulttol_b.txt
 # conservation on the stream, final-scrape exactness). On top of that, two
 # serial runs must be byte-identical: observation is inert by construction.
 echo "== obsplane observability determinism smoke"
-go build -o /tmp/vexp_ci ./cmd/experiments
-/tmp/vexp_ci -run obsplane -scale 0.05 -seed 7 > /tmp/vexp_obsplane_a.txt
-/tmp/vexp_ci -run obsplane -scale 0.05 -seed 7 > /tmp/vexp_obsplane_b.txt
-cmp /tmp/vexp_obsplane_a.txt /tmp/vexp_obsplane_b.txt
-rm -f /tmp/vexp_ci /tmp/vexp_obsplane_a.txt /tmp/vexp_obsplane_b.txt
+twice_cmp obsplane -run obsplane -scale 0.05 -seed 7
+rm -f "$vexp"
 
 echo "CI OK"

@@ -44,31 +44,41 @@ type Stats struct {
 	mu          sync.Mutex
 	engines     []*sim.Engine
 	interrupted bool
-	regs        []labeledRegistry
-	regSeen     map[string]int
-	attrib      []labeledAttribution
-	attribSeen  map[string]int
-	telem       []labeledTelemetry
-	telemSeen   map[string]int
+	regs        labeled[*metrics.Registry]
+	attrib      labeled[map[string]float64]
+	telem       labeled[*telemetry.Recorder]
 }
 
-// labeledTelemetry is one flight recorder under a run-unique label.
-type labeledTelemetry struct {
-	label string
-	rec   *telemetry.Recorder
+// labeled is an append-only list of observations, each under a run-unique
+// label. Callers hold Stats.mu.
+type labeled[T any] struct {
+	items []labeledItem[T]
+	seen  map[string]int
 }
 
-// labeledAttribution is one flattened latency-attribution report under a
-// run-unique label.
-type labeledAttribution struct {
+type labeledItem[T any] struct {
 	label string
-	flat  map[string]float64
+	v     T
 }
 
-// labeledRegistry is one VM's metrics registry under a run-unique label.
-type labeledRegistry struct {
-	label string
-	reg   *metrics.Registry
+func (l *labeled[T]) add(label string, v T) {
+	if l.seen == nil {
+		l.seen = make(map[string]int)
+	}
+	l.items = append(l.items, labeledItem[T]{label: uniqueLabel(l.seen, label), v: v})
+}
+
+// uniqueLabel returns label the first time it is seen and label#n for the
+// n-th repeat. Labels repeat across the VMs an experiment deploys; the
+// suffix is deterministic because registration order is fixed (each trial
+// runs one goroutine).
+func uniqueLabel(seen map[string]int, label string) string {
+	n := seen[label]
+	seen[label] = n + 1
+	if n > 0 {
+		return fmt.Sprintf("%s#%d", label, n+1)
+	}
+	return label
 }
 
 // Track registers an engine. A nil receiver is a no-op, so call sites do not
@@ -98,67 +108,42 @@ func (s *Stats) Interrupt() {
 	}
 }
 
-// TrackRegistry registers a VM's metrics registry under label. Labels repeat
-// across the VMs an experiment deploys; repeats get a deterministic #n suffix
-// (registration order is fixed because each trial runs one goroutine). A nil
-// receiver is a no-op.
+// TrackRegistry registers a VM's metrics registry under label; repeated
+// labels get a deterministic #n suffix (see uniqueLabel). A nil receiver is
+// a no-op.
 func (s *Stats) TrackRegistry(label string, reg *metrics.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.regSeen == nil {
-		s.regSeen = make(map[string]int)
-	}
-	n := s.regSeen[label]
-	s.regSeen[label] = n + 1
-	if n > 0 {
-		label = fmt.Sprintf("%s#%d", label, n+1)
-	}
-	s.regs = append(s.regs, labeledRegistry{label: label, reg: reg})
+	s.regs.add(label, reg)
 }
 
 // TrackAttribution records one flattened latency-attribution profile (see
 // latprof.Profile.Flatten) under label, for the harness to embed in the
-// trial artifact. Repeated labels get a deterministic #n suffix, like
-// TrackRegistry. A nil receiver is a no-op.
+// trial artifact. Repeated labels get a deterministic #n suffix. A nil
+// receiver is a no-op.
 func (s *Stats) TrackAttribution(label string, flat map[string]float64) {
 	if s == nil || len(flat) == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.attribSeen == nil {
-		s.attribSeen = make(map[string]int)
-	}
-	n := s.attribSeen[label]
-	s.attribSeen[label] = n + 1
-	if n > 0 {
-		label = fmt.Sprintf("%s#%d", label, n+1)
-	}
-	s.attrib = append(s.attrib, labeledAttribution{label: label, flat: flat})
+	s.attrib.add(label, flat)
 }
 
 // TrackTelemetry records one flight recorder (see internal/telemetry) under
 // label, for the harness to embed its deterministic snapshot in the trial
-// artifact. Repeated labels get a deterministic #n suffix, like
-// TrackRegistry. A nil receiver or nil recorder is a no-op.
+// artifact. Repeated labels get a deterministic #n suffix. A nil receiver or
+// nil recorder is a no-op.
 func (s *Stats) TrackTelemetry(label string, rec *telemetry.Recorder) {
 	if s == nil || rec == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.telemSeen == nil {
-		s.telemSeen = make(map[string]int)
-	}
-	n := s.telemSeen[label]
-	s.telemSeen[label] = n + 1
-	if n > 0 {
-		label = fmt.Sprintf("%s#%d", label, n+1)
-	}
-	s.telem = append(s.telem, labeledTelemetry{label: label, rec: rec})
+	s.telem.add(label, rec)
 }
 
 // TelemetrySnapshot exports every tracked recorder's deterministic snapshot
@@ -172,11 +157,11 @@ func (s *Stats) TelemetrySnapshot() map[string]*telemetry.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out map[string]*telemetry.Snapshot
-	for _, lt := range s.telem {
+	for _, lt := range s.telem.items {
 		if out == nil {
-			out = make(map[string]*telemetry.Snapshot, len(s.telem))
+			out = make(map[string]*telemetry.Snapshot, len(s.telem.items))
 		}
-		out[lt.label] = lt.rec.Snapshot(false)
+		out[lt.label] = lt.v.Snapshot(false)
 	}
 	return out
 }
@@ -191,11 +176,11 @@ func (s *Stats) AttributionSnapshot() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out map[string]float64
-	for _, la := range s.attrib {
+	for _, la := range s.attrib.items {
 		if out == nil {
-			out = make(map[string]float64, len(la.flat)*len(s.attrib))
+			out = make(map[string]float64, len(la.v)*len(s.attrib.items))
 		}
-		for k, v := range la.flat {
+		for k, v := range la.v {
 			out[la.label+"."+k] = v
 		}
 	}
@@ -212,10 +197,10 @@ func (s *Stats) MetricsSnapshot() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out map[string]float64
-	for _, lr := range s.regs {
-		flat := lr.reg.Snapshot().Flatten()
+	for _, lr := range s.regs.items {
+		flat := lr.v.Snapshot().Flatten()
 		if len(flat) > 0 && out == nil {
-			out = make(map[string]float64, len(flat)*len(s.regs))
+			out = make(map[string]float64, len(flat)*len(s.regs.items))
 		}
 		for k, v := range flat {
 			out[lr.label+"."+k] = v

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"vsched/internal/cloudgen"
@@ -42,23 +41,7 @@ import (
 // availability, mean/max time-to-recover, restart and evacuation counts,
 // and lost vCPU-hours.
 func FaultTol(o Options) *Report {
-	cfg := scaledCloudConfig(o.Scale)
-	hosts := 0
-	for _, hc := range cfg.Hosts {
-		hosts += hc.Count
-	}
-	// Expected event count for kind k is hosts * horizon / MTBF_k; fixing
-	// the targets makes the MTBFs absorb the scale.
-	mtbf := func(target float64) sim.Duration {
-		return sim.Duration(float64(hosts) * float64(cfg.Horizon) / target)
-	}
-	cfg.Faults = &faults.Config{
-		CrashMTBF:    mtbf(48),
-		BrownoutMTBF: mtbf(96),
-		StallMTBF:    mtbf(144),
-		MigFailProb:  0.1,
-	}
-	trace := cloudgen.Generate(o.Seed, cfg)
+	trace := cloudgen.Generate(o.Seed, faultedCloudConfig(o.Scale, 48, 96, 144, 0.1))
 
 	tcfg := telemetry.Config{Interval: 60 * sim.Second}
 	pol := fleet.StealAware{}
@@ -98,23 +81,17 @@ func FaultTol(o Options) *Report {
 			fmt.Sprintf("%.1f", r.LostVCPUHours),
 		)
 	}
-	gate := func(mode string, serial, sharded *fleet.MacroResult) {
-		if !bytes.Equal(serial.Snapshot, sharded.Snapshot) {
-			panic(fmt.Sprintf("faulttol: %s serial/sharded snapshots diverge: %s vs %s",
-				mode, fleet.SnapshotDigest(serial.Snapshot), fleet.SnapshotDigest(sharded.Snapshot)))
-		}
-	}
 
 	clean := run(nil, faults.RecoveryConfig{}, 8, nil)
 	add("clean", clean)
 
 	noRec := run(trace.Faults, faults.RecoveryConfig{}, 8, nil)
-	gate("no-recovery", run(trace.Faults, faults.RecoveryConfig{}, 1, nil), noRec)
+	gateSerialSharded("faulttol", "no-recovery", run(trace.Faults, faults.RecoveryConfig{}, 1, nil), noRec)
 	add("faults", noRec)
 
 	rcv := faults.RecoveryConfig{Enabled: true}
 	rec := run(trace.Faults, rcv, 8, &tcfg)
-	gate("recovery", run(trace.Faults, rcv, 1, nil), rec)
+	gateSerialSharded("faulttol", "recovery", run(trace.Faults, rcv, 1, nil), rec)
 	add("recovery", rec)
 	o.Stats.TrackRegistry("faulttol.recovery", rec.Registry)
 	o.Stats.TrackTelemetry("faulttol.recovery", rec.Telemetry)

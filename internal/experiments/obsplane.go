@@ -49,22 +49,9 @@ import (
 // all deterministic functions of (seed, scale) — wall-clock artifacts like
 // the concurrent scrape count stay off stdout.
 func ObsPlane(o Options) *Report {
-	cfg := scaledCloudConfig(o.Scale)
-	hosts := 0
-	for _, hc := range cfg.Hosts {
-		hosts += hc.Count
-	}
 	// Scale-aware MTBFs (as in faulttol) so the stream carries a meaningful
 	// number of fault and recovery events at any -scale.
-	mtbf := func(target float64) sim.Duration {
-		return sim.Duration(float64(hosts) * float64(cfg.Horizon) / target)
-	}
-	cfg.Faults = &faults.Config{
-		CrashMTBF:    mtbf(24),
-		BrownoutMTBF: mtbf(48),
-		StallMTBF:    mtbf(72),
-	}
-	trace := cloudgen.Generate(o.Seed, cfg)
+	trace := cloudgen.Generate(o.Seed, faultedCloudConfig(o.Scale, 24, 48, 72, 0))
 
 	tcfg := telemetry.Config{Interval: 60 * sim.Second}
 	mk := func() fleet.MacroConfig {

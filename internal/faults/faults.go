@@ -1,7 +1,6 @@
 // Package faults is the failure plane of the simulator: a deterministic,
-// seed-derived schedule of host-level faults that both fleet tiers (the
-// per-tick micro fleet and the epoch-quantized macro fleet) inject, plus the
-// recovery policy knobs (retry budget, capped exponential backoff, bounded
+// seed-derived schedule of host-level faults that the epoch-quantized macro
+// fleet (fleet.RunMacro) injects, plus the recovery policy knobs (retry budget, capped exponential backoff, bounded
 // pending queue) the fleet layer applies on top.
 //
 // Production placement is dominated by what goes wrong — maintenance, host

@@ -19,12 +19,10 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"vsched/internal/cachemodel"
 	"vsched/internal/core"
-	"vsched/internal/faults"
 	"vsched/internal/guest"
 	"vsched/internal/host"
 	"vsched/internal/latprof"
@@ -80,16 +78,6 @@ type Config struct {
 	// recorder after Run. Observation only, like Attribution: the simulation
 	// is byte-identical with it on or off.
 	Telemetry *telemetry.Config
-	// Faults, when non-nil, injects the host fault schedule (see
-	// internal/faults and faultplane.go): crashes kill resident VMs and take
-	// the host out of admission, brownouts shrink its capacity, stalls freeze
-	// its entities. Events fire at their exact scheduled instants.
-	Faults *faults.Schedule
-	// Recovery enables the reaction to faults: crash victims re-place through
-	// a bounded retry queue with capped exponential backoff, and VMs on
-	// degraded hosts evacuate by live migration. Disabled, crash victims are
-	// terminally lost — the graceful-degradation baseline.
-	Recovery faults.RecoveryConfig
 }
 
 // MigrationConfig tunes the live-migration controller: every Every it looks
@@ -139,22 +127,6 @@ type Result struct {
 	// Telemetry is the cell's flight recorder when Config.Telemetry was set;
 	// nil otherwise.
 	Telemetry *telemetry.Recorder
-	// Fault-plane outcome (all zero without Config.Faults). Killed counts VM
-	// kills by host crashes, Restarts successful re-placements, Lost terminal
-	// losses, Evacuations brownout-driven moves (also counted in Migrations),
-	// EvacFailures attempts the migration-failure law aborted, PendingAtEnd
-	// victims still awaiting restart at the horizon. Conservation holds
-	// exactly: Placed == Departed + Lost + PendingAtEnd + VMs alive at the
-	// horizon (collect panics otherwise).
-	Crashes, Brownouts, Stalls int
-	Killed, Restarts, Lost     int
-	Evacuations, EvacFailures  int
-	PendingAtEnd               int
-	// Availability is committed vCPU-seconds over committed plus crash-outage
-	// vCPU-seconds (1.0 when nothing crashed); MTTRMean/MTTRMax summarize
-	// restart time-to-recover in seconds.
-	Availability      float64
-	MTTRMean, MTTRMax float64
 }
 
 // hostState is one host plus the fleet's bookkeeping about it. Occupancy is
@@ -167,12 +139,6 @@ type hostState struct {
 	committed int
 	vms       []*fleetVM
 	stealEMA  float64
-	// Fault windows (faultplane.go): the host is out of admission while
-	// downUntil > now and shrunk to degradeFactor x capacity while
-	// degradedUntil > now. Never set without Config.Faults.
-	downUntil     sim.Time
-	degradedUntil sim.Time
-	degradeFactor float64
 	// attribVMs are the VMs *created* on this host, when attribution is on.
 	// Entity state-change notifications always fire on the creation host's
 	// observer list (host.Entity keeps its birth host even across live
@@ -203,11 +169,6 @@ type fleetVM struct {
 	// migrant selection for Migration.Cooldown after it last moved.
 	moved    bool
 	lastMove sim.Time
-	// deadline is the VM's scheduled departure instant (zero = pinned to the
-	// horizon); restarts after a crash keep the original deadline.
-	deadline sim.Time
-	// restarts is which crash-restart incarnation this is (0 = original).
-	restarts int
 	// stealSeen is the telemetry baseline: total steal across the VM's
 	// vCPUs at the last sample, attributed to whichever host it sat on.
 	stealSeen sim.Duration
@@ -223,37 +184,14 @@ type Fleet struct {
 	hosts []*hostState
 	vms   []*fleetVM // every VM ever placed, in placement order
 
-	// ix and ipol replace the per-arrival O(hosts) snapshot scan when the
-	// policy supports indexed placement; non-indexed policies keep the
-	// linear view() path. Decisions are identical either way (pinned by the
-	// differential test in index_test.go).
-	ix   *HostIndex
-	ipol IndexedPolicy
+	// ix places each arrival in O(log hosts); its decisions match the
+	// policy's linear Place scan (pinned by the differential test in
+	// index_test.go).
+	ix *HostIndex
 
 	placed, rejected, departed, migrations int
 	reg                                    *metrics.Registry
 	rec                                    *telemetry.Recorder
-
-	// Fault plane (faultplane.go). rcv is the resolved recovery policy,
-	// pending the bounded restart queue, migAttempts the deterministic
-	// counter feeding the migration-failure law.
-	rcv         faults.RecoveryConfig
-	pending     []*microRetry
-	migAttempts uint64
-
-	crashes, brownouts, stalls int
-	killed, restarts, lost     int
-	evacuations, evacFailures  int
-
-	// Availability ledger: the committed-vCPU integral (up) accrues at every
-	// commitment change; the outage side (down) accrues per crash victim at
-	// restart, loss or the horizon.
-	totCommitted    int
-	lastCommChange  sim.Time
-	upVCPUSeconds   float64
-	downVCPUSeconds float64
-	ttrSum, ttrMax  float64
-	ttrCount        int
 }
 
 // New builds the cluster. The engine is exposed before Run so callers
@@ -272,9 +210,6 @@ func New(cfg Config) *Fleet {
 		cfg.TelemetryEvery = 50 * sim.Millisecond
 	}
 	f := &Fleet{cfg: cfg, eng: sim.NewEngine(cfg.Seed), reg: metrics.NewRegistry()}
-	if cfg.Recovery.Enabled {
-		f.rcv = cfg.Recovery.WithDefaults()
-	}
 	for i := 0; i < cfg.Hosts; i++ {
 		h := host.New(f.eng, cfg.HostConfig)
 		vtrace.AttachHost(cfg.Tracer, h)
@@ -298,45 +233,29 @@ func New(cfg Config) *Fleet {
 		}
 		f.hosts = append(f.hosts, hs)
 	}
-	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {
-		caps := make([]int, len(f.hosts))
-		for i := range caps {
-			caps[i] = f.capacity()
-		}
-		f.ix = NewHostIndex(caps)
-		f.ipol = ipol
+	caps := make([]int, len(f.hosts))
+	for i := range caps {
+		caps[i] = f.capacity()
 	}
+	f.ix = NewHostIndex(caps)
 	return f
 }
 
-// info renders one host's policy snapshot row. Capacity is the effective
-// (fault-adjusted) bound, so policies steer around crashed and degraded hosts
-// without knowing about faults.
+// info renders one host's policy snapshot row.
 func (f *Fleet) info(hs *hostState) HostInfo {
 	return HostInfo{
 		Index:     hs.index,
 		Committed: hs.committed,
-		Capacity:  f.effCap(hs),
+		Capacity:  f.capacity(),
 		VMs:       len(hs.vms),
 		StealRate: hs.stealEMA,
 	}
 }
 
 // reindex refreshes one host's leaf in the placement index after its
-// commitments, telemetry or fault windows changed. The index tracks free
-// space against the configured leaf capacity, so degraded capacity is folded
-// in by inflating committed with the lost headroom; a down host scores +Inf
-// (never NaN — NaN would poison BestScore pruning). No-op on the linear path.
+// commitments or telemetry changed.
 func (f *Fleet) reindex(hs *hostState) {
-	if f.ix == nil {
-		return
-	}
-	eff := f.effCap(hs)
-	score := math.Inf(1)
-	if eff > 0 {
-		score = f.ipol.Score(f.info(hs))
-	}
-	f.ix.Update(hs.index, hs.committed+(f.capacity()-eff), score)
+	f.ix.Update(hs.index, hs.committed, f.cfg.Policy.Score(f.info(hs)))
 }
 
 // Engine returns the cell's private engine.
@@ -348,16 +267,6 @@ func (f *Fleet) Registry() *metrics.Registry { return f.reg }
 // capacity is the committed-vCPU admission bound per host.
 func (f *Fleet) capacity() int {
 	return int(f.cfg.Overcommit * float64(f.hosts[0].h.NumThreads()))
-}
-
-// view renders the per-host snapshot handed to non-indexed placement
-// policies, in stable host-ID order.
-func (f *Fleet) view() []HostInfo {
-	out := make([]HostInfo, len(f.hosts))
-	for i, hs := range f.hosts {
-		out[i] = f.info(hs)
-	}
-	return out
 }
 
 // pickThreads chooses n distinct threads on hs, least-committed first (ties
@@ -431,7 +340,6 @@ func (f *Fleet) Run() *Result {
 	if cfg.Migration.Every > 0 {
 		f.eng.After(cfg.Migration.Every, f.migrationTick)
 	}
-	f.scheduleFaults()
 	if cfg.Telemetry != nil {
 		f.rec = f.attachTelemetry(*cfg.Telemetry, arr)
 		f.rec.Start()
@@ -448,7 +356,7 @@ func (f *Fleet) arrive(a Arrival) {
 	cfg.Tracer.Emit(now, vtrace.KindVMArrive, name, int64(a.Type.VCPUs), 0, 0)
 	f.reg.Counter("fleet.arrivals").Inc()
 
-	hi := f.chooseHost(a.Type.VCPUs)
+	hi := cfg.Policy.PlaceIndexed(f.ix, a.Type.VCPUs)
 	if hi < 0 {
 		f.rejected++
 		f.reg.Counter("fleet.rejected").Inc()
@@ -461,19 +369,15 @@ func (f *Fleet) arrive(a Arrival) {
 	cfg.Tracer.Emit(now, vtrace.KindVMPlace, name, int64(hi), int64(a.Type.VCPUs), int64(f.hosts[hi].committed))
 
 	if a.Lifetime > 0 {
-		vm.deadline = now.Add(a.Lifetime)
-		f.eng.At(vm.deadline, func() { f.depart(vm) })
+		f.eng.At(now.Add(a.Lifetime), func() { f.depart(vm) })
 	}
 }
 
-// spawn materialises one VM incarnation on host hi: threads, guest, vSched,
-// workload, bookkeeping. Shared by first placement (arrive) and crash restart
-// (faultplane.go); the caller does its own counting and trace emission.
+// spawn materialises one VM on host hi: threads, guest, vSched, workload,
+// bookkeeping. The caller does its own counting and trace emission.
 func (f *Fleet) spawn(a Arrival, hi int, name string) *fleetVM {
 	cfg := f.cfg
 	hs := f.hosts[hi]
-	f.accrueUp(f.eng.Now())
-	f.totCommitted += a.Type.VCPUs
 	threads := hs.pickThreads(a.Type.VCPUs)
 	hts := make([]*host.Thread, len(threads))
 	for i, t := range threads {
@@ -523,8 +427,6 @@ func (f *Fleet) depart(vm *fleetVM) {
 	vm.alive = false
 	vm.inst.(stopper).Stop()
 	hs := f.hosts[vm.hostIdx]
-	f.accrueUp(f.eng.Now())
-	f.totCommitted -= vm.typ.VCPUs
 	hs.release(vm.threads)
 	hs.removeVM(vm)
 	f.reindex(hs)
@@ -574,58 +476,30 @@ func (f *Fleet) collect(arr []Arrival) *Result {
 	if f.cfg.VSched {
 		guestName = "vSched"
 	}
-	// Close the availability ledger: the committed integral runs to the
-	// horizon, and victims still pending accrue their outage tail.
-	now := f.eng.Now()
-	f.accrueUp(now)
-	for _, e := range f.pending {
-		f.downVCPUSeconds += now.Sub(e.downSince).Seconds() * float64(e.vcpus)
-	}
-	// Conservation: every placement chain ends in exactly one of departed,
-	// lost, pending or alive-at-horizon.
+	// Conservation: every placed VM either departed or is alive at the
+	// horizon.
 	aliveEnd := 0
 	for _, vm := range f.vms {
 		if vm.alive {
 			aliveEnd++
 		}
 	}
-	if f.placed != f.departed+f.lost+len(f.pending)+aliveEnd {
-		panic(fmt.Sprintf(
-			"fleet: VM conservation violated: placed=%d departed=%d lost=%d pending=%d alive=%d",
-			f.placed, f.departed, f.lost, len(f.pending), aliveEnd))
-	}
-	availability := 1.0
-	if f.upVCPUSeconds+f.downVCPUSeconds > 0 {
-		availability = f.upVCPUSeconds / (f.upVCPUSeconds + f.downVCPUSeconds)
-	}
-	mttrMean := 0.0
-	if f.ttrCount > 0 {
-		mttrMean = f.ttrSum / float64(f.ttrCount)
+	if f.placed != f.departed+aliveEnd {
+		panic(fmt.Sprintf("fleet: VM conservation violated: placed=%d departed=%d alive=%d",
+			f.placed, f.departed, aliveEnd))
 	}
 	r := &Result{
-		Policy:       f.cfg.Policy.Name(),
-		Guest:        guestName,
-		Arrivals:     len(arr),
-		Placed:       f.placed,
-		Rejected:     f.rejected,
-		Departed:     f.departed,
-		Migrations:   f.migrations,
-		E2E:          f.reg.Histogram("fleet.e2e"),
-		Events:       f.eng.Fired(),
-		Registry:     f.reg,
-		Telemetry:    f.rec,
-		Crashes:      f.crashes,
-		Brownouts:    f.brownouts,
-		Stalls:       f.stalls,
-		Killed:       f.killed,
-		Restarts:     f.restarts,
-		Lost:         f.lost,
-		Evacuations:  f.evacuations,
-		EvacFailures: f.evacFailures,
-		PendingAtEnd: len(f.pending),
-		Availability: availability,
-		MTTRMean:     mttrMean,
-		MTTRMax:      f.ttrMax,
+		Policy:     f.cfg.Policy.Name(),
+		Guest:      guestName,
+		Arrivals:   len(arr),
+		Placed:     f.placed,
+		Rejected:   f.rejected,
+		Departed:   f.departed,
+		Migrations: f.migrations,
+		E2E:        f.reg.Histogram("fleet.e2e"),
+		Events:     f.eng.Fired(),
+		Registry:   f.reg,
+		Telemetry:  f.rec,
 	}
 	for _, vm := range f.vms {
 		r.Ops += vm.inst.Ops()

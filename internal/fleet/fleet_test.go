@@ -119,6 +119,26 @@ func TestLifecycleAndOccupancy(t *testing.T) {
 	}
 }
 
+// TestConservationPanics: collect's ledger check (placed == departed + alive
+// at the horizon) must fire when the books don't balance. Corrupting departed
+// after a clean run stands in for a lifecycle path that miscounts an exit.
+func TestConservationPanics(t *testing.T) {
+	f := New(testConfig(7, FirstFit{}, false))
+	arr := f.cfg.Arrivals
+	f.Run()
+	f.departed++
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("collect accepted an unbalanced VM ledger")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "conservation violated") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	f.collect(arr)
+}
+
 func TestMigrationMovesEntitiesAcrossHosts(t *testing.T) {
 	// A packing policy under contention-driven migration must move someone.
 	cfg := testConfig(11, FirstFit{}, false)

@@ -162,32 +162,3 @@ func (ix *HostIndex) BestScore(v int) int {
 	}
 	return bestIdx
 }
-
-// IndexedPolicy is a Policy that can place through a HostIndex instead of a
-// linear snapshot scan. Score must be a pure function of the snapshot row —
-// the fleet recomputes it for a host whenever that host's commitments or
-// telemetry change and stores it in the index, so PlaceIndexed over fresh
-// scores must agree with Place over a fresh snapshot (pinned by the
-// differential test).
-type IndexedPolicy interface {
-	Policy
-	// Score returns the value the index minimises for this host; lower is
-	// better. Policies that don't rank (first-fit) return 0.
-	Score(h HostInfo) float64
-	// PlaceIndexed picks a fitting host from the index, or -1.
-	PlaceIndexed(ix *HostIndex, vcpus int) int
-}
-
-func (FirstFit) Score(HostInfo) float64 { return 0 }
-
-func (FirstFit) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.FirstFit(vcpus) }
-
-func (LeastLoaded) Score(h HostInfo) float64 { return float64(h.Committed) }
-
-func (LeastLoaded) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }
-
-func (StealAware) Score(h HostInfo) float64 {
-	return h.StealRate + 0.1*float64(h.Committed)/float64(h.Capacity)
-}
-
-func (StealAware) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }

@@ -84,7 +84,7 @@ func TestHostIndexBestScoreTieBreak(t *testing.T) {
 // the contract that lets the fleet swap in the index without perturbing the
 // engineswap goldens.
 func TestIndexedMatchesLinear(t *testing.T) {
-	policies := []IndexedPolicy{FirstFit{}, LeastLoaded{}, StealAware{}}
+	policies := []Policy{FirstFit{}, LeastLoaded{}, StealAware{}}
 	for _, pol := range policies {
 		pol := pol
 		t.Run(pol.Name(), func(t *testing.T) {

@@ -42,9 +42,8 @@ import (
 // byte-identical — the fleetscale experiment panics if not.
 type MacroConfig struct {
 	Trace cloudgen.Trace
-	// Policy places arriving VMs. IndexedPolicy implementations go through
-	// the HostIndex (O(log hosts) per placement); plain policies fall back
-	// to the linear snapshot scan.
+	// Policy places arriving VMs through the HostIndex (O(log hosts) per
+	// placement).
 	Policy Policy
 	// Overcommit scales threads into the admission bound (default 2.0).
 	Overcommit float64
@@ -229,7 +228,6 @@ type macroSim struct {
 	hosts   []macroHost
 	vms     []macroVM
 	ix      *HostIndex
-	ipol    IndexedPolicy
 	next    int // first trace VM not yet arrived
 	horizon sim.Time
 	now     sim.Time // current boundary time (effective-capacity clock)
@@ -319,10 +317,7 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 		caps[i] = c
 	}
 	m.vms = make([]macroVM, len(cfg.Trace.VMs))
-	if ipol, ok := cfg.Policy.(IndexedPolicy); ok {
-		m.ix = NewHostIndex(caps)
-		m.ipol = ipol
-	}
+	m.ix = NewHostIndex(caps)
 	m.completions = make([][]int32, cfg.Shards)
 	if cfg.Telemetry != nil {
 		m.rec = telemetry.New(m.eng, *cfg.Telemetry)
@@ -462,10 +457,8 @@ func (m *macroSim) boundary(t sim.Time) {
 	// Rescore every host before any placement work: committed changed
 	// above, stealEMA during the last integration, and effective capacity
 	// whenever a fault window opened or expired.
-	if m.ix != nil {
-		for i := range m.hosts {
-			m.reindexHost(i)
-		}
+	for i := range m.hosts {
+		m.reindexHost(i)
 	}
 
 	// Pending retries due now: crash restarts and admission re-attempts,
@@ -515,14 +508,11 @@ func (m *macroSim) effCap(h *macroHost) int32 {
 // folded in by inflating committed with the lost headroom; a fully-down host
 // scores +Inf (never NaN — NaN would poison BestScore pruning).
 func (m *macroSim) reindexHost(i int) {
-	if m.ix == nil {
-		return
-	}
 	h := &m.hosts[i]
 	eff := m.effCap(h)
 	score := math.Inf(1)
 	if eff > 0 {
-		score = m.ipol.Score(m.macroInfo(i))
+		score = m.cfg.Policy.Score(m.macroInfo(i))
 	}
 	m.ix.Update(i, int(h.committed)+int(h.capacity-eff), score)
 }
@@ -770,9 +760,8 @@ func (m *macroSim) evacuate(t sim.Time) {
 	}
 }
 
-// macroInfo builds the policy snapshot row for host i. Capacity is the
-// effective (fault-adjusted) bound, so linear policies steer around degraded
-// hosts exactly like the indexed path.
+// macroInfo builds the policy snapshot row for host i that Score rates.
+// Capacity is the effective (fault-adjusted) bound.
 func (m *macroSim) macroInfo(i int) HostInfo {
 	h := &m.hosts[i]
 	return HostInfo{
@@ -784,17 +773,10 @@ func (m *macroSim) macroInfo(i int) HostInfo {
 	}
 }
 
-// choose picks a host for a vcpus-wide VM through the index or the linear
-// snapshot scan; -1 means nothing fits.
+// choose picks a host for a vcpus-wide VM through the index; -1 means
+// nothing fits.
 func (m *macroSim) choose(vcpus int) int {
-	if m.ix != nil {
-		return m.ipol.PlaceIndexed(m.ix, vcpus)
-	}
-	snap := make([]HostInfo, len(m.hosts))
-	for i := range m.hosts {
-		snap[i] = m.macroInfo(i)
-	}
-	return m.cfg.Policy.Place(snap, vcpus)
+	return m.cfg.Policy.PlaceIndexed(m.ix, vcpus)
 }
 
 // place admits trace VM idx at epoch time t. A rejection is terminal only

@@ -14,17 +14,28 @@ type HostInfo struct {
 // Fits reports whether a VM of the given size can be admitted.
 func (h HostInfo) Fits(vcpus int) bool { return h.Committed+vcpus <= h.Capacity }
 
-// Policy decides where an arriving VM goes. Place returns a host index that
-// Fits the request, or -1 to reject. Implementations must be deterministic
-// pure functions of the snapshot: ranked policies break every tie toward the
-// lowest host ID, snapshots arrive in stable host-ID order (never map
-// iteration), and heterogeneous Capacity values must not disturb either
-// property — the cluster may mix host classes (see internal/cloudgen).
-// Policies that also implement IndexedPolicy (see index.go) are placed
-// through a HostIndex in O(log hosts) instead of this linear scan.
+// Policy decides where an arriving VM goes. Both fleet tiers place through
+// a HostIndex (see index.go) in O(log hosts): the tier stores Score for each
+// host whenever that host's commitments or telemetry change, and
+// PlaceIndexed picks from the index.
+//
+// Place is the linear reference: it returns a host index that Fits the
+// request, or -1 to reject, by scanning a snapshot. PlaceIndexed over fresh
+// scores must agree with Place over a fresh snapshot (pinned by the
+// differential test in index_test.go). Implementations must be
+// deterministic pure functions of the snapshot: ranked policies break every
+// tie toward the lowest host ID, snapshots arrive in stable host-ID order
+// (never map iteration), and heterogeneous Capacity values must not disturb
+// either property — the cluster may mix host classes (see internal/cloudgen).
 type Policy interface {
 	Name() string
+	// Place picks a fitting host by a linear scan of the snapshot, or -1.
 	Place(hosts []HostInfo, vcpus int) int
+	// Score returns the value the index minimises for this host; lower is
+	// better. Policies that don't rank (first-fit) return 0.
+	Score(h HostInfo) float64
+	// PlaceIndexed picks a fitting host from the index, or -1.
+	PlaceIndexed(ix *HostIndex, vcpus int) int
 }
 
 // FirstFit packs: the lowest-indexed host with room wins. The classic
@@ -42,6 +53,10 @@ func (FirstFit) Place(hosts []HostInfo, vcpus int) int {
 	}
 	return -1
 }
+
+func (FirstFit) Score(HostInfo) float64 { return 0 }
+
+func (FirstFit) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.FirstFit(vcpus) }
 
 // LeastLoaded spreads (worst-fit): the fitting host with the fewest
 // committed vCPUs wins, ties to the lower index — explicitly by absolute
@@ -65,6 +80,10 @@ func (LeastLoaded) Place(hosts []HostInfo, vcpus int) int {
 	}
 	return best
 }
+
+func (LeastLoaded) Score(h HostInfo) float64 { return float64(h.Committed) }
+
+func (LeastLoaded) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }
 
 // StealAware is the fleet-level analogue of vSched's insight: commitments
 // lie the same way the vCPU abstraction lies, so consult measured steal.
@@ -95,3 +114,9 @@ func (StealAware) Place(hosts []HostInfo, vcpus int) int {
 	}
 	return best
 }
+
+func (StealAware) Score(h HostInfo) float64 {
+	return h.StealRate + 0.1*float64(h.Committed)/float64(h.Capacity)
+}
+
+func (StealAware) PlaceIndexed(ix *HostIndex, vcpus int) int { return ix.BestScore(vcpus) }

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind classifies a progress event.
@@ -135,10 +136,25 @@ type WireEvent struct {
 }
 
 // slot is one ring cell. ver is the seqlock: 0 empty, 2s+1 while the writer
-// of sequence s is copying, 2s+2 once sequence s is published.
+// of sequence s is copying, 2s+2 once sequence s is published. The payload
+// is stored as atomic words so a reader copying it while a writer reclaims
+// the slot is not a data race under the Go memory model; the version check
+// still discards such a torn copy.
 type slot struct {
 	ver atomic.Uint64
-	ev  Event
+	w   [eventWords]atomic.Uint64
+}
+
+// eventWords is Event's size in 64-bit words. Event is POD, so it can be
+// copied word by word; the array below fails to compile if its size stops
+// being a whole number of words.
+const eventWords = unsafe.Sizeof(Event{}) / 8
+
+var _ [0]struct{} = [unsafe.Sizeof(Event{}) % 8]struct{}{}
+
+// words views ev as its raw 64-bit words.
+func words(ev *Event) *[eventWords]uint64 {
+	return (*[eventWords]uint64)(unsafe.Pointer(ev))
 }
 
 // Bus is the bounded multi-producer broadcast ring. Publishing is lock-free
@@ -248,7 +264,9 @@ func (b *Bus) Publish(ev Event) uint64 {
 		runtime.Gosched()
 	}
 	ev.Seq = seq
-	s.ev = ev
+	for i, w := range words(&ev) {
+		s.w[i].Store(w)
+	}
 	s.ver.Store(2*seq + 2)
 	return seq
 }
@@ -343,7 +361,11 @@ func (r *Reader) Poll(buf []Event) int {
 			r.cursor++
 			continue
 		}
-		ev := s.ev
+		var ev Event
+		ew := words(&ev)
+		for i := range s.w {
+			ew[i] = s.w[i].Load()
+		}
 		if s.ver.Load() != v1 {
 			// Torn read: the slot was reclaimed mid-copy. Re-examine it.
 			continue

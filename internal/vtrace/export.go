@@ -445,15 +445,6 @@ func (e *exporter) event(ev *Event) {
 	case KindHostRecover:
 		e.instant(pidFleet, 2, ev.At, "recover:"+ev.Subject, "fleet",
 			fmt.Sprintf("\"kind\":%d", ev.A0))
-	case KindVMCrash:
-		e.instant(pidFleet, 2, ev.At, "crash:"+ev.Subject, "fleet",
-			fmt.Sprintf("\"host\":%d,\"vcpus\":%d", ev.A0, ev.A1))
-	case KindVMRestart:
-		e.instant(pidFleet, 2, ev.At, "restart:"+ev.Subject, "fleet",
-			fmt.Sprintf("\"host\":%d,\"attempt\":%d,\"down_ns\":%d", ev.A0, ev.A1, ev.A2))
-	case KindVMLost:
-		e.instant(pidFleet, 2, ev.At, "lost:"+ev.Subject, "fleet",
-			fmt.Sprintf("\"reason\":%d,\"vcpus\":%d", ev.A0, ev.A1))
 	}
 }
 

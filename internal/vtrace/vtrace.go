@@ -105,15 +105,6 @@ const (
 	// KindHostRecover: a host fault cleared. Subject=host name, A0=fault
 	// kind.
 	KindHostRecover
-	// KindVMCrash: a fleet VM was killed by a host crash. A0=host,
-	// A1=vCPUs.
-	KindVMCrash
-	// KindVMRestart: a crashed VM was re-placed. A0=new host, A1=attempt
-	// number, A2=downtime ns (time-to-recover).
-	KindVMRestart
-	// KindVMLost: a VM was terminally lost. A0=reason (0=retry budget
-	// exhausted, 1=pending queue overflow, 2=recovery disabled), A1=vCPUs.
-	KindVMLost
 
 	// numKinds bounds per-kind arrays (Summary); keep it one past the last.
 	numKinds
@@ -169,12 +160,6 @@ func (k Kind) String() string {
 		return "host-fault"
 	case KindHostRecover:
 		return "host-recover"
-	case KindVMCrash:
-		return "vm-crash"
-	case KindVMRestart:
-		return "vm-restart"
-	case KindVMLost:
-		return "vm-lost"
 	}
 	return "invalid"
 }
@@ -189,7 +174,7 @@ func (k Kind) Category() string {
 		KindVCPUSpeed, KindMigCost:
 		return "guest"
 	case KindVMArrive, KindVMPlace, KindVMMigrate, KindVMExit,
-		KindHostFault, KindHostRecover, KindVMCrash, KindVMRestart, KindVMLost:
+		KindHostFault, KindHostRecover:
 		return "fleet"
 	default:
 		return "vsched"

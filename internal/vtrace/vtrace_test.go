@@ -231,9 +231,9 @@ func TestWrapAroundExportMetadata(t *testing.T) {
 }
 
 // TestFaultStormDropAccounting floods a small ring with a burst of fault and
-// evacuation events — the pattern a host crash under recovery produces: one
-// KindHostFault followed by a KindVMCrash/KindVMRestart/KindVMLost volley —
-// and checks the drop accounting stays exact: Total counts every emit,
+// VM churn events — the pattern a host crash under recovery produces: one
+// KindHostFault followed by a volley of VM exits, re-placements and
+// rejections (KindVMExit/KindVMPlace) — and checks the drop accounting stays exact: Total counts every emit,
 // Dropped is exactly total minus capacity, the survivors are the
 // chronological tail, and Summary/Chrome export still balance.
 func TestFaultStormDropAccounting(t *testing.T) {
@@ -251,12 +251,12 @@ func TestFaultStormDropAccounting(t *testing.T) {
 		at := sim.Time(h * 1000)
 		emit(at, KindHostFault, "host", int64(h), 600_000_000_000, 0)
 		for v := 0; v < 20; v++ {
-			emit(at, KindVMCrash, "vm", int64(h), 2, 0)
+			emit(at, KindVMExit, "vm", int64(h), 2, 0)
 			switch v % 3 {
 			case 0:
-				emit(at+1, KindVMRestart, "vm", int64((h+1)%16), 1, 60_000_000_000)
+				emit(at+1, KindVMPlace, "vm", int64((h+1)%16), 2, 4)
 			case 1:
-				emit(at+1, KindVMLost, "vm", 0, 2, 0)
+				emit(at+1, KindVMPlace, "vm", -1, 2, 0)
 			}
 		}
 		emit(at+2, KindHostRecover, "host", int64(h), 0, 0)
@@ -317,16 +317,13 @@ func TestFaultStormDropAccounting(t *testing.T) {
 	}
 }
 
-// TestFaultKindMetadata pins the new fault-plane kinds: printable names,
+// TestFaultKindMetadata pins the fault-plane kinds: printable names,
 // fleet category, and numbering appended after the pre-existing kinds so
 // recorded traces keep decoding.
 func TestFaultKindMetadata(t *testing.T) {
 	for k, name := range map[Kind]string{
 		KindHostFault:   "host-fault",
 		KindHostRecover: "host-recover",
-		KindVMCrash:     "vm-crash",
-		KindVMRestart:   "vm-restart",
-		KindVMLost:      "vm-lost",
 	} {
 		if k.String() != name {
 			t.Errorf("kind %d String()=%q want %q", k, k.String(), name)
