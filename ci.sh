@@ -46,14 +46,22 @@ vexp=/tmp/vexp_ci
 go build -o "$vexp" ./cmd/experiments
 
 # twice_cmp NAME ARGS...: run the experiments binary twice with ARGS and
-# require byte-identical stdout.
+# require byte-identical stdout. The first run's stdout stays in
+# /tmp/vexp_NAME.txt for further checks.
 twice_cmp() {
     name=$1
     shift
-    "$vexp" "$@" > "/tmp/vexp_${name}_a.txt"
+    "$vexp" "$@" > "/tmp/vexp_${name}.txt"
     "$vexp" "$@" > "/tmp/vexp_${name}_b.txt"
-    cmp "/tmp/vexp_${name}_a.txt" "/tmp/vexp_${name}_b.txt"
-    rm -f "/tmp/vexp_${name}_a.txt" "/tmp/vexp_${name}_b.txt"
+    cmp "/tmp/vexp_${name}.txt" "/tmp/vexp_${name}_b.txt"
+    rm -f "/tmp/vexp_${name}_b.txt"
+}
+
+# golden_cmp ID FILE: FILE holds the stdout of a seed-42, full-scale run of
+# experiment ID alone; require it to equal ID's section of the checked-in
+# experiments_full.txt (from its "== ID:" header to the next header).
+golden_cmp() {
+    awk -v id="$1" '/^== /{p = index($0, "== " id ":") == 1} p' experiments_full.txt | cmp - "$2"
 }
 
 # Attribution smoke: the attrib experiment must produce byte-identical
@@ -92,8 +100,10 @@ rm -f /tmp/vexp_bench_smoke.json
 # hours of virtual time — must finish inside the CI budget (the macro
 # simulator does the whole thing in seconds) and pass its internal
 # serial==sharded snapshot byte-identity gate, which panics on divergence.
-echo "== fleetscale determinism smoke (full scale)"
-"$vexp" -run fleetscale -seed 42 > /dev/null
+# Its report must also match the checked-in full record byte for byte.
+echo "== fleetscale determinism + golden smoke (full scale)"
+"$vexp" -run fleetscale -seed 42 > /tmp/vexp_fleetscale.txt
+golden_cmp fleetscale /tmp/vexp_fleetscale.txt
 
 # Fleet benchmark pipeline: the -bench fleet smoke must emit a schema-valid
 # artifact and self-diff clean (exercising the lifetimes_per_sec metric in
@@ -116,9 +126,11 @@ twice_cmp fleetobs -run fleetobs -scale 0.1 -seed 7 -telemetry
 # (serial==sharded snapshot bytes with faults active, recovery strictly
 # beating no-recovery on completed lifetimes, exact VM conservation). On top
 # of finishing at full scale — 1024 hosts, 48 h, the whole crash/brownout/
-# stall schedule — two same-seed runs must be byte-identical.
-echo "== faulttol byte-identity smoke (full scale)"
+# stall schedule — two same-seed runs must be byte-identical, and must match
+# the checked-in full record.
+echo "== faulttol byte-identity + golden smoke (full scale)"
 twice_cmp faulttol -run faulttol -seed 42
+golden_cmp faulttol /tmp/vexp_faulttol.txt
 
 # Obsplane smoke: the obsplane experiment boots the embedded observability
 # server on an ephemeral port, streams the run's progress events over real
@@ -128,6 +140,7 @@ twice_cmp faulttol -run faulttol -seed 42
 # serial runs must be byte-identical: observation is inert by construction.
 echo "== obsplane observability determinism smoke"
 twice_cmp obsplane -run obsplane -scale 0.05 -seed 7
-rm -f "$vexp"
+rm -f "$vexp" /tmp/vexp_attrib.txt /tmp/vexp_fleetscale.txt /tmp/vexp_fleetobs.txt \
+    /tmp/vexp_faulttol.txt /tmp/vexp_obsplane.txt
 
 echo "CI OK"

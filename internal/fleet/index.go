@@ -74,9 +74,7 @@ func NewHostIndex(caps []int) *HostIndex {
 		ix.free[size+i] = int32(c)
 		ix.score[size+i] = 0
 	}
-	for i := size - 1; i >= 1; i-- {
-		ix.pull(i)
-	}
+	ix.rebuild()
 	return ix
 }
 
@@ -106,11 +104,23 @@ func (ix *HostIndex) Free(i int) int { return int(ix.free[ix.size+i]) }
 // Update sets host i's committed occupancy and policy score, rewriting the
 // leaf's root path.
 func (ix *HostIndex) Update(i, committed int, score float64) {
-	leaf := ix.size + i
-	ix.free[leaf] = ix.capacity[i] - int32(committed)
-	ix.score[leaf] = score
-	for leaf /= 2; leaf >= 1; leaf /= 2 {
-		ix.pull(leaf)
+	ix.setLeaf(i, committed, score)
+	for node := (ix.size + i) / 2; node >= 1; node /= 2 {
+		ix.pull(node)
+	}
+}
+
+// setLeaf writes host i's leaf without touching its ancestors; rebuild must
+// run before the next query. For refreshing every host at once.
+func (ix *HostIndex) setLeaf(i, committed int, score float64) {
+	ix.free[ix.size+i] = ix.capacity[i] - int32(committed)
+	ix.score[ix.size+i] = score
+}
+
+// rebuild recomputes every internal node bottom-up after setLeaf writes.
+func (ix *HostIndex) rebuild() {
+	for i := ix.size - 1; i >= 1; i-- {
+		ix.pull(i)
 	}
 }
 

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vsched/internal/sim"
@@ -140,6 +142,56 @@ func TestIndexedMatchesLinear(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHostIndexRebuildMatchesUpdate: refreshing every leaf with setLeaf and
+// one bottom-up rebuild must leave the tree element-identical to refreshing
+// each host with Update, and answer every query the same, under randomized
+// occupancy (including over-committed, negative-free leaves) and score churn
+// with ties and +Inf scores for down hosts.
+func TestHostIndexRebuildMatchesUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, hosts := range []int{1, 5, 37, 64} {
+		caps := make([]int, hosts)
+		for i := range caps {
+			caps[i] = 2 + rng.Intn(30)
+		}
+		byUpdate, byRebuild := NewHostIndex(caps), NewHostIndex(caps)
+		for round := 0; round < 200; round++ {
+			for i := range caps {
+				committed := rng.Intn(caps[i] + 4)
+				var score float64
+				switch r := rng.Intn(8); {
+				case r == 0:
+					score = math.Inf(1)
+				case r < 3:
+					score = float64(rng.Intn(3)) // ties
+				default:
+					score = rng.Float64()
+				}
+				byUpdate.Update(i, committed, score)
+				byRebuild.setLeaf(i, committed, score)
+			}
+			byRebuild.rebuild()
+			if !slices.Equal(byUpdate.free, byRebuild.free) || !slices.Equal(byUpdate.score, byRebuild.score) {
+				t.Fatalf("hosts=%d round %d: rebuilt tree differs from per-host updates", hosts, round)
+			}
+			for v := 0; v <= 34; v++ {
+				if a, b := byUpdate.FirstFit(v), byRebuild.FirstFit(v); a != b {
+					t.Fatalf("hosts=%d round %d: FirstFit(%d) = %d via Update, %d via rebuild", hosts, round, v, a, b)
+				}
+				if a, b := byUpdate.BestScore(v), byRebuild.BestScore(v); a != b {
+					t.Fatalf("hosts=%d round %d: BestScore(%d) = %d via Update, %d via rebuild", hosts, round, v, a, b)
+				}
+			}
+			// Single-host churn between full refreshes, as placement does.
+			for k := 0; k < 3; k++ {
+				i, committed, score := rng.Intn(hosts), rng.Intn(caps[0]+1), rng.Float64()
+				byUpdate.Update(i, committed, score)
+				byRebuild.Update(i, committed, score)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -266,12 +268,21 @@ type macroSim struct {
 	ttrSum, ttrMax             float64
 	ttrCount                   int
 
-	// departQ holds live VM ids ordered by departure time then id; a plain
-	// sorted-slice sweep, rebuilt incrementally (batch completions join at
-	// the epoch boundary after their budget drains).
-	departQ []int32
+	// cal is the departure calendar: one bucket of VM ids per epoch
+	// boundary (boundary k at k*Epoch for k < len(cal)-1, the last bucket at
+	// the horizon). A VM is filed under the first boundary at or after its
+	// depart whenever depart is set, so a boundary drains one small bucket
+	// instead of re-sorting every live VM. Entries are never removed early:
+	// killed VMs, batch VMs whose depart moved, and ids re-filed by restarts
+	// leave stale entries that the drain skips. cur is the index of the
+	// boundary being processed.
+	cal [][]int32
+	cur int
 
-	// per-shard scratch, reused every epoch
+	// scratch reused every boundary: the departure batch being drained and
+	// the retry entries due; per-shard batch completions every epoch
+	leaving     []int32
+	due         []retryEntry
 	completions [][]int32
 }
 
@@ -318,6 +329,7 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 	}
 	m.vms = make([]macroVM, len(cfg.Trace.VMs))
 	m.ix = NewHostIndex(caps)
+	m.cal = make([][]int32, (cfg.Horizon+cfg.Epoch-1)/cfg.Epoch+1)
 	m.completions = make([][]int32, cfg.Shards)
 	if cfg.Telemetry != nil {
 		m.rec = telemetry.New(m.eng, *cfg.Telemetry)
@@ -427,28 +439,35 @@ func (m *macroSim) publishMirror() {
 // evacuation of degraded hosts, then arrivals with At < t+E in trace order.
 func (m *macroSim) boundary(t sim.Time) {
 	m.now = t
-	// Departures: the queue is sorted by (depart, id); batch VMs whose
-	// budget drained last epoch were re-sorted in with their quantized
-	// boundary departure time. Killed VMs leave stale entries behind —
-	// they are skipped here (dead) or, after a restart re-appended the id,
-	// shadowed by the fresh entry (both sort on the same current depart).
-	dq := m.departQ
-	cut := 0
-	for cut < len(dq) {
-		vm := &m.vms[dq[cut]]
-		if vm.alive && vm.depart > t {
-			break
-		}
-		cut++
+	m.cur = len(m.cal) - 1
+	if t < m.horizon {
+		m.cur = int(t / sim.Time(m.cfg.Epoch))
 	}
-	for _, id := range dq[:cut] {
-		vm := &m.vms[id]
-		if !vm.alive {
-			continue
+	// Departures: every live VM with depart <= t has its current entry in
+	// this boundary's bucket (it was filed at an earlier boundary under the
+	// first boundary at or after its depart), so draining the bucket departs
+	// exactly the live VMs due by t, in (depart, id) order. Stale entries
+	// fail the alive/depart test, and a duplicate id left by a restart is no
+	// longer alive once its first copy departs.
+	leaving := m.leaving[:0]
+	for _, id := range m.cal[m.cur] {
+		if vm := &m.vms[id]; vm.alive && vm.depart <= t {
+			leaving = append(leaving, id)
 		}
-		m.depart(id)
 	}
-	m.departQ = dq[cut:]
+	slices.SortFunc(leaving, func(a, b int32) int {
+		if da, db := m.vms[a].depart, m.vms[b].depart; da != db {
+			return cmp.Compare(da, db)
+		}
+		return cmp.Compare(a, b)
+	})
+	for _, id := range leaving {
+		if m.vms[id].alive {
+			m.depart(id)
+		}
+	}
+	m.leaving = leaving
+	m.cal[m.cur] = nil
 
 	// Fault events landing in this epoch: crashes kill, brownouts degrade,
 	// stalls freeze.
@@ -456,14 +475,17 @@ func (m *macroSim) boundary(t sim.Time) {
 
 	// Rescore every host before any placement work: committed changed
 	// above, stealEMA during the last integration, and effective capacity
-	// whenever a fault window opened or expired.
+	// whenever a fault window opened or expired. Every leaf changes, so
+	// write them all and rebuild the tree once: n-1 pulls, not n root paths.
 	for i := range m.hosts {
-		m.reindexHost(i)
+		committed, score := m.leafState(i)
+		m.ix.setLeaf(i, committed, score)
 	}
+	m.ix.rebuild()
 
 	// Pending retries due now: crash restarts and admission re-attempts,
 	// oldest (readyAt, id) first.
-	dirty := m.retries(t)
+	m.retries(t)
 
 	// Evacuate degraded hosts through the placement policy — the macro
 	// tier's migration mechanism (recovery-gated).
@@ -478,16 +500,25 @@ func (m *macroSim) boundary(t sim.Time) {
 		}
 		m.place(m.next, t)
 		m.next++
-		dirty = true
 	}
-	if dirty {
-		sort.SliceStable(m.departQ, func(a, b int) bool {
-			va, vb := &m.vms[m.departQ[a]], &m.vms[m.departQ[b]]
-			if va.depart != vb.depart {
-				return va.depart < vb.depart
-			}
-			return m.departQ[a] < m.departQ[b]
-		})
+}
+
+// file enters VM id in the departure calendar under the first boundary at
+// or after its depart, and never at or before the current boundary (whose
+// departures already ran): a VM due now leaves at the next boundary. A VM
+// departing past the horizon, or filed at the horizon itself, never leaves.
+func (m *macroSim) file(id int32) {
+	d := m.vms[id].depart
+	if d > m.horizon {
+		return
+	}
+	e := sim.Time(m.cfg.Epoch)
+	k := int((d + e - 1) / e) // <= len(cal)-1, the horizon bucket, as d <= horizon
+	if k <= m.cur {
+		k = m.cur + 1
+	}
+	if k < len(m.cal) {
+		m.cal[k] = append(m.cal[k], id)
 	}
 }
 
@@ -503,18 +534,25 @@ func (m *macroSim) effCap(h *macroHost) int32 {
 	return h.capacity
 }
 
-// reindexHost refreshes host i's leaf. The index tracks free = capacity -
+// leafState is host i's index leaf. The index tracks free = capacity -
 // committed against the *configured* leaf capacity, so degraded capacity is
 // folded in by inflating committed with the lost headroom; a fully-down host
 // scores +Inf (never NaN — NaN would poison BestScore pruning).
-func (m *macroSim) reindexHost(i int) {
+func (m *macroSim) leafState(i int) (committed int, score float64) {
 	h := &m.hosts[i]
 	eff := m.effCap(h)
-	score := math.Inf(1)
+	score = math.Inf(1)
 	if eff > 0 {
 		score = m.cfg.Policy.Score(m.macroInfo(i))
 	}
-	m.ix.Update(i, int(h.committed)+int(h.capacity-eff), score)
+	return int(h.committed) + int(h.capacity-eff), score
+}
+
+// reindexHost refreshes host i's leaf and its root path after a single-host
+// change during placement or evacuation.
+func (m *macroSim) reindexHost(i int) {
+	committed, score := m.leafState(i)
+	m.ix.Update(i, committed, score)
 }
 
 // applyFaults applies schedule events landing in epoch [t, t+E).
@@ -629,11 +667,10 @@ func (m *macroSim) terminal(e retryEntry, t sim.Time) {
 	m.reg.Counter("fleet.macro.lost").Inc()
 }
 
-// retries runs every queue entry due at t in (readyAt, id) order. Returns
-// whether any VM re-entered the departure queue.
-func (m *macroSim) retries(t sim.Time) bool {
+// retries runs every queue entry due at t in (readyAt, id) order.
+func (m *macroSim) retries(t sim.Time) {
 	if len(m.retryQ) == 0 {
-		return false
+		return
 	}
 	sort.SliceStable(m.retryQ, func(a, b int) bool {
 		ea, eb := m.retryQ[a], m.retryQ[b]
@@ -647,12 +684,11 @@ func (m *macroSim) retries(t sim.Time) bool {
 		cut++
 	}
 	if cut == 0 {
-		return false
+		return
 	}
-	due := append([]retryEntry(nil), m.retryQ[:cut]...)
+	m.due = append(m.due[:0], m.retryQ[:cut]...)
 	m.retryQ = append(m.retryQ[:0], m.retryQ[cut:]...)
-	readmitted := false
-	for _, e := range due {
+	for _, e := range m.due {
 		vm := &m.vms[e.id]
 		vcpus := int(vm.vcpus)
 		if e.admit {
@@ -675,9 +711,7 @@ func (m *macroSim) retries(t sim.Time) bool {
 		} else {
 			m.restart(e, hi, t)
 		}
-		readmitted = true
 	}
-	return readmitted
 }
 
 // restart re-places a crash victim on host hi: service VMs resume their
@@ -698,7 +732,7 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 		vm.depart = t.Add(e.remaining)
 	}
 	h.vms = append(h.vms, e.id)
-	m.departQ = append(m.departQ, e.id)
+	m.file(e.id)
 	m.restarts++
 	m.events++
 	m.reg.Counter("fleet.macro.restarts").Inc()
@@ -829,7 +863,7 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 		vm.depart = t.Add(tv.Lifetime)
 	}
 	h.vms = append(h.vms, int32(idx))
-	m.departQ = append(m.departQ, int32(idx))
+	m.file(int32(idx))
 	m.placed++
 	m.reg.Counter("fleet.macro.placed").Inc()
 	m.reindexHost(hi)
@@ -886,8 +920,8 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		wg.Wait()
 	}
 
-	// Serial merge, shard order == host order: batch completions re-enter
-	// the departure queue with their boundary departure time.
+	// Serial merge, shard order == host order: batch completions are filed
+	// in the calendar with their boundary departure time.
 	var events uint64
 	for i := range m.hosts {
 		events += uint64(len(m.hosts[i].vms)) + 1
@@ -903,16 +937,8 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 				m.makespan = vm.depart
 			}
 			vm.depart = t1
+			m.file(id)
 		}
-	}
-	if len(m.departQ) > 1 {
-		sort.SliceStable(m.departQ, func(a, b int) bool {
-			va, vb := &m.vms[m.departQ[a]], &m.vms[m.departQ[b]]
-			if va.depart != vb.depart {
-				return va.depart < vb.depart
-			}
-			return m.departQ[a] < m.departQ[b]
-		})
 	}
 
 	// Degree of imbalance over hosts with any capacity, serial in host order.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"vsched/internal/cloudgen"
@@ -476,5 +477,104 @@ func TestMacroFaultShardedMatchesSerial(t *testing.T) {
 				t.Fatal("two identical faulted runs diverged")
 			}
 		})
+	}
+}
+
+// calendarEdgeTrace is a hand-rolled trace aimed at the departure
+// bookkeeping's edges on a 1000 s horizon: arrivals on and between epoch
+// boundaries, service lifetimes from zero to past the horizon (many shorter
+// than one epoch, some landing exactly on a boundary), and batch budgets
+// sized so some finish in the final epoch and some are still resident at the
+// horizon.
+func calendarEdgeTrace(seed int64) cloudgen.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	tr := cloudgen.Trace{
+		Seed:    seed,
+		Horizon: 1000 * sim.Second,
+		Hosts: []cloudgen.HostSpec{
+			{Class: "a", Threads: 4, SpeedFactor: 1.0},
+			{Class: "b", Threads: 8, SpeedFactor: 1.2},
+			{Class: "c", Threads: 2, SpeedFactor: 0.8},
+			{Class: "a", Threads: 4, SpeedFactor: 1.0},
+			{Class: "d", Threads: 16, SpeedFactor: 1.1},
+			{Class: "c", Threads: 2, SpeedFactor: 0.8},
+		},
+	}
+	at := sim.Time(0)
+	for id := 0; at < sim.Time(0).Add(tr.Horizon); id++ {
+		vm := cloudgen.VM{ID: id, At: at, VCPUs: 1 + rng.Intn(4), Demand: 0.2 + 0.8*rng.Float64()}
+		switch r := rng.Intn(10); {
+		case r < 3:
+			vm.Class = cloudgen.Batch
+			vm.Work = sim.Duration(1+rng.Intn(900)) * sim.Second
+		case r < 5:
+			vm.Lifetime = sim.Duration(rng.Intn(45)) * sim.Second // under one epoch, incl. 0
+		case r < 6:
+			vm.Lifetime = sim.Duration(45*(1+rng.Intn(22))) * sim.Second // a boundary multiple
+		default:
+			vm.Lifetime = sim.Duration(1+rng.Intn(1500)) * sim.Second
+		}
+		tr.VMs = append(tr.VMs, vm)
+		if rng.Intn(4) == 0 {
+			at = at.Add(45 * sim.Second * sim.Duration(rng.Intn(2))) // land on a boundary
+			at = sim.Time(int64(at) / int64(45*sim.Second) * int64(45*sim.Second))
+		} else {
+			at = at.Add(sim.Duration(rng.Intn(12)) * sim.Second)
+		}
+	}
+	return tr
+}
+
+// calendarEdgeFaults crashes hosts through the run; the host-4 crash at
+// 950 s lands on the 945 s boundary, so with a 55 s base backoff its
+// victims' first restart attempt is due exactly at the 1000 s horizon.
+func calendarEdgeFaults() *faults.Schedule {
+	at := func(s int) sim.Time { return sim.Time(0).Add(sim.Duration(s) * sim.Second) }
+	return &faults.Schedule{Seed: 3, MigFailProb: 0.1, Events: []faults.Event{
+		{At: at(100), Host: 1, Kind: faults.Crash, Duration: 200 * sim.Second},
+		{At: at(200), Host: 0, Kind: faults.Brownout, Duration: 300 * sim.Second, Factor: 0.5},
+		{At: at(330), Host: 2, Kind: faults.Stall, Duration: 45 * sim.Second},
+		{At: at(500), Host: 3, Kind: faults.Crash, Duration: 90 * sim.Second},
+		{At: at(700), Host: 1, Kind: faults.Crash, Duration: 100 * sim.Second},
+		{At: at(950), Host: 4, Kind: faults.Crash, Duration: 30 * sim.Second},
+	}}
+}
+
+// TestMacroGoldenDigests pins the snapshot digest of small runs that stress
+// the departure bookkeeping: an epoch that does not divide the horizon,
+// sub-epoch and zero lifetimes, batch completions in the final epoch, VMs
+// resident at the horizon, and crash restarts due on the horizon boundary.
+// The digests were recorded from the departure-queue implementation that
+// re-sorted every live VM each epoch; any departure-order change breaks them.
+func TestMacroGoldenDigests(t *testing.T) {
+	edge := calendarEdgeTrace(13)
+	gen := macroTestTrace(5)
+	rcv := faults.RecoveryConfig{Enabled: true, BaseBackoff: 55 * sim.Second}
+	cases := []struct {
+		name string
+		cfg  MacroConfig
+		want [3]string // FirstFit, LeastLoaded, StealAware
+	}{
+		{"edge-clean", MacroConfig{Trace: edge, Epoch: 45 * sim.Second},
+			[3]string{"1f85539183b5b6f2", "ad44fadc1d873af0", "e8dbff736e440050"}},
+		{"edge-faults", MacroConfig{Trace: edge, Epoch: 45 * sim.Second, Faults: calendarEdgeFaults(), Recovery: rcv},
+			[3]string{"7d2328569bcef644", "a55165df491192b2", "2d398f6761dfba55"}},
+		{"gen-2h", MacroConfig{Trace: gen, Epoch: 45 * sim.Second, Horizon: 2 * 3600 * sim.Second},
+			[3]string{"47e482b62c5c4b47", "08414cbe8ace6a35", "d0b5eae34a63f3b8"}},
+	}
+	for _, c := range cases {
+		for p, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
+			c, p, pol := c, p, pol
+			t.Run(c.name+"/"+pol.Name(), func(t *testing.T) {
+				for _, shards := range []int{1, 8} {
+					cfg := c.cfg
+					cfg.Policy, cfg.Shards = pol, shards
+					res := RunMacro(cfg)
+					if got := SnapshotDigest(res.Snapshot); got != c.want[p] {
+						t.Errorf("shards=%d: digest %s, want %s", shards, got, c.want[p])
+					}
+				}
+			})
+		}
 	}
 }
