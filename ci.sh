@@ -41,6 +41,13 @@ go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metric
 echo "== engine differential suite (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/
 
+# Host speed-model fuzzer and guest hot-path allocation gate, never -short:
+# the fuzzer checks every running entity's speed against the model after
+# each random operation (a missed turbo-crossing refresh shows up here), and
+# the guest gate pins a warmed VM's event path at zero mallocs per event.
+echo "== host speed fuzz + guest hot-path alloc budget"
+go test -run 'HostSchedulerStateFuzz|AllocBudget' ./internal/host/ ./internal/guest/
+
 # One experiments binary serves every smoke below.
 vexp=/tmp/vexp_ci
 go build -o "$vexp" ./cmd/experiments
@@ -105,6 +112,13 @@ echo "== fleetscale determinism + golden smoke (full scale)"
 "$vexp" -run fleetscale -seed 42 > /tmp/vexp_fleetscale.txt
 golden_cmp fleetscale /tmp/vexp_fleetscale.txt
 
+# Micro-tier golden smoke: fig15 at full scale drives SMT/LLC topologies,
+# turbo, the host speed model and the guest's SMT balancing; its report must
+# match the checked-in full record byte for byte.
+echo "== fig15 golden smoke (full scale)"
+"$vexp" -run fig15 -seed 42 > /tmp/vexp_fig15.txt
+golden_cmp fig15 /tmp/vexp_fig15.txt
+
 # Fleet benchmark pipeline: the -bench fleet smoke must emit a schema-valid
 # artifact and self-diff clean (exercising the lifetimes_per_sec metric in
 # the diff gate). The committed BENCH_fleet.json baseline must also still
@@ -140,7 +154,7 @@ golden_cmp faulttol /tmp/vexp_faulttol.txt
 # serial runs must be byte-identical: observation is inert by construction.
 echo "== obsplane observability determinism smoke"
 twice_cmp obsplane -run obsplane -scale 0.05 -seed 7
-rm -f "$vexp" /tmp/vexp_attrib.txt /tmp/vexp_fleetscale.txt /tmp/vexp_fleetobs.txt \
-    /tmp/vexp_faulttol.txt /tmp/vexp_obsplane.txt
+rm -f "$vexp" /tmp/vexp_attrib.txt /tmp/vexp_fleetscale.txt /tmp/vexp_fig15.txt \
+    /tmp/vexp_fleetobs.txt /tmp/vexp_faulttol.txt /tmp/vexp_obsplane.txt
 
 echo "CI OK"

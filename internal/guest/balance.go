@@ -72,7 +72,7 @@ func (vm *VM) findPullable(v *VCPU, sameDomain bool) *Task {
 // within each believed LLC domain, then across domains with a higher bar,
 // then handle misfit tasks and cgroup evictions.
 func (vm *VM) periodicBalance() {
-	for _, socket := range vm.topo.Sockets() {
+	for _, socket := range vm.sockets {
 		vm.balanceWithin(socket)
 	}
 	vm.balanceAcross()
@@ -89,28 +89,17 @@ func (vm *VM) periodicBalance() {
 // cores that are idle or host only light/sleeping work — the SMT-domain
 // balancing that needs accurate core topology. With the default belief
 // every vCPU is its own core, so this never fires under stock abstraction.
+//
+// It walks the cached vm.cores groups, which keep first-appearance order:
+// which overloaded core unstacks first and which idle core receives must not
+// depend on map iteration, or runs would stop being deterministic.
 func (vm *VM) smtBalancePass() {
-	now := vm.eng.Now()
-	// Collect believed core groups with more than one member. coreOrder
-	// remembers first-appearance order: iterating the map directly would
-	// randomise which overloaded core unstacks first and which idle core
-	// receives, breaking run-to-run determinism.
-	byCore := map[int][]*VCPU{}
-	var coreOrder []int
-	multi := false
-	for i, v := range vm.vcpus {
-		g := vm.topo.CoreOf[i]
-		if len(byCore[g]) == 0 {
-			coreOrder = append(coreOrder, g)
-		}
-		byCore[g] = append(byCore[g], v)
-		if len(byCore[g]) > 1 {
-			multi = true
-		}
-	}
-	if !multi {
+	// Some believed core holds more than one vCPU exactly when there are
+	// fewer core groups than vCPUs.
+	if len(vm.cores) == len(vm.vcpus) {
 		return
 	}
+	now := vm.eng.Now()
 	heavy := func(v *VCPU) bool {
 		t := v.curr
 		return t != nil && !t.idlePolicy && t.affinity < 0 && t.Util() >= 350
@@ -124,8 +113,7 @@ func (vm *VM) smtBalancePass() {
 		}
 		return n
 	}
-	for _, g := range coreOrder {
-		members := byCore[g]
+	for _, members := range vm.cores {
 		if len(members) < 2 || groupHeavy(members) < 2 {
 			continue
 		}
@@ -133,8 +121,7 @@ func (vm *VM) smtBalancePass() {
 		// Requiring every member idle keeps this from thrashing on the
 		// transient idleness at the tail of barrier phases.
 		var dst *VCPU
-		for _, cg := range coreOrder {
-			cand := byCore[cg]
+		for _, cand := range vm.cores {
 			allIdle := true
 			for _, u := range cand {
 				if !u.GuestIdle() {
@@ -224,7 +211,7 @@ func (vm *VM) balanceWithin(ids []int) {
 // balanceAcross moves one queued task between believed sockets when the
 // inter-domain imbalance is large.
 func (vm *VM) balanceAcross() {
-	sockets := vm.topo.Sockets()
+	sockets := vm.sockets
 	if len(sockets) < 2 {
 		return
 	}

@@ -94,6 +94,12 @@ type VM struct {
 	ctr    guestCounters
 	tr     *vtrace.Tracer
 
+	// sockets and cores are topo's believed socket and core groups in
+	// first-appearance order (members in vCPU order), built once per belief
+	// so balancing and fork placement need no per-call maps.
+	sockets [][]int
+	cores   [][]*VCPU
+
 	taskSeq      int
 	lastBalance  sim.Time
 	balanceSlack sim.Duration
@@ -131,10 +137,29 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 	vm.root = &CGroup{name: "root", allowed: fullMask(len(threads))}
 	for i, th := range threads {
 		v := &VCPU{vm: vm, id: i, cfsCapacity: 1024}
+		v.completeFn, v.tickFn, v.resumeFn = v.onComplete, v.tickFire, v.onResumeWork
 		v.ent = h.NewEntity(fmt.Sprintf("%s/vcpu%d", name, i), th, host.DefaultWeight, v)
 		vm.vcpus = append(vm.vcpus, v)
 	}
+	vm.rebuildGroups()
 	return vm
+}
+
+// rebuildGroups recomputes the cached socket and core groups from vm.topo.
+func (vm *VM) rebuildGroups() {
+	vm.sockets = vm.topo.Sockets()
+	vm.cores = nil
+	idx := map[int]int{}
+	for i, v := range vm.vcpus {
+		g := vm.topo.CoreOf[i]
+		k, ok := idx[g]
+		if !ok {
+			k = len(vm.cores)
+			idx[g] = k
+			vm.cores = append(vm.cores, nil)
+		}
+		vm.cores[k] = append(vm.cores[k], v)
+	}
 }
 
 // Name returns the VM name.
@@ -205,7 +230,10 @@ func (vm *VM) SetTopology(b Belief) {
 	if len(b.CoreOf) != len(vm.vcpus) || len(b.SocketOf) != len(vm.vcpus) {
 		panic("guest: belief size mismatch")
 	}
+	// This is the only place vm.topo changes after NewVM, so the cached
+	// groups are rebuilt here and nowhere else.
 	vm.topo = b
+	vm.rebuildGroups()
 }
 
 // Topology returns the currently believed topology.

@@ -71,6 +71,11 @@ type VCPU struct {
 	// charged to (the vCPU may be repinned while a task is installed).
 	llcF      float64
 	llcSocket int
+
+	// completeFn, tickFn and resumeFn are v.onComplete, v.tickFire and
+	// v.onResumeWork bound once in NewVM: passing a method value to
+	// eng.After would allocate a closure on every schedule.
+	completeFn, tickFn, resumeFn func()
 }
 
 // llcFactor returns the vCPU's current LLC-contention speed factor.
@@ -239,7 +244,7 @@ func (v *VCPU) Resumed(now sim.Time, speed float64) {
 	// Interrupt delivery, deferred ticks and rescheduling happen "on the
 	// vCPU" as soon as it runs again; the zero-delay event keeps us out of
 	// the host scheduler's critical section.
-	v.vm.eng.After(0, v.onResumeWork)
+	v.vm.eng.After(0, v.resumeFn)
 }
 
 // Stopped implements host.Client.
@@ -333,7 +338,7 @@ func (v *VCPU) scheduleCompletion() {
 	if t.remaining > 0 {
 		d = sim.Duration(math.Ceil(t.remaining / (v.speed * v.llcFactor())))
 	}
-	v.compEv = v.vm.eng.After(d, v.onComplete)
+	v.compEv = v.vm.eng.After(d, v.completeFn)
 }
 
 func (v *VCPU) onComplete() {
@@ -355,7 +360,7 @@ func (v *VCPU) onComplete() {
 // --- ticks ---
 
 func (v *VCPU) startTicking(offset sim.Duration) {
-	v.tickEv = v.vm.eng.After(offset, v.tickFire)
+	v.tickEv = v.vm.eng.After(offset, v.tickFn)
 }
 
 func (v *VCPU) tickFire() {
@@ -436,7 +441,7 @@ func (v *VCPU) tick() {
 		v.vm.periodicBalance()
 	}
 
-	v.tickEv = v.vm.eng.After(v.vm.params.TickPeriod, v.tickFire)
+	v.tickEv = v.vm.eng.After(v.vm.params.TickPeriod, v.tickFn)
 }
 
 // tickShouldPreempt decides at tick time whether best should replace curr.

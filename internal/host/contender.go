@@ -31,6 +31,10 @@ type PatternContender struct {
 	sleeping  bool
 	stopped   bool
 	stopEv    sim.Event
+
+	// burstFn and endBurstFn are p.burst and p.endBurst bound once, so
+	// scheduling them allocates nothing.
+	burstFn, endBurstFn func()
 }
 
 // NewPatternContender creates and starts a pattern contender on thread t.
@@ -41,9 +45,10 @@ func NewPatternContender(h *Host, name string, t *Thread, on, off, phase sim.Dur
 		panic("host: pattern contender needs on > 0 and off >= 0")
 	}
 	p := &PatternContender{eng: h.Engine(), on: on, off: off}
+	p.burstFn, p.endBurstFn = p.burst, p.endBurst
 	p.entity = h.NewEntity(name, t, DefaultWeight, p)
 	p.entity.SetRT(true)
-	h.Engine().After(phase, p.burst)
+	h.Engine().After(phase, p.burstFn)
 	return p
 }
 
@@ -74,7 +79,7 @@ func (p *PatternContender) burst() {
 // this burst's CPU budget.
 func (p *PatternContender) Resumed(now sim.Time, _ float64) {
 	p.since = now
-	p.stopEv = p.eng.After(p.remaining, p.endBurst)
+	p.stopEv = p.eng.After(p.remaining, p.endBurstFn)
 }
 
 // Stopped implements Client.
@@ -104,8 +109,8 @@ func (p *PatternContender) endBurst() {
 		return
 	}
 	if p.off == 0 {
-		p.eng.After(0, p.burst)
+		p.eng.After(0, p.burstFn)
 		return
 	}
-	p.eng.After(p.off, p.burst)
+	p.eng.After(p.off, p.burstFn)
 }

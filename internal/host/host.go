@@ -116,7 +116,7 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	for s := 0; s < cfg.Sockets; s++ {
 		for c := 0; c < cfg.CoresPerSocket; c++ {
 			for t := 0; t < cfg.ThreadsPerCore; t++ {
-				h.threads[id] = &Thread{
+				th := &Thread{
 					host:        h,
 					id:          ThreadID(id),
 					socket:      s,
@@ -124,8 +124,16 @@ func New(eng *sim.Engine, cfg Config) *Host {
 					slot:        t,
 					speedFactor: 1.0,
 				}
+				th.sliceFn = th.onSlice
+				h.threads[id] = th
 				id++
 			}
+		}
+	}
+	if cfg.ThreadsPerCore == 2 {
+		// Slots 0 and 1 of a core sit at adjacent ids 2k and 2k+1.
+		for i, t := range h.threads {
+			t.sibling = h.threads[i^1]
 		}
 	}
 	return h
@@ -187,13 +195,16 @@ func (h *Host) AddObserver(fn func(e *Entity, now sim.Time, from, to EntityState
 	h.observers = append(h.observers, fn)
 }
 
-// busyCores returns the number of busy cores in socket s (maintained
-// incrementally by the threads).
-func (h *Host) busyCores(s int) int { return h.busyCoreCount[s] }
+// turboEligible reports whether socket s boosts its running threads: turbo
+// is enabled and at most one core of the socket is busy. It is the only
+// reader of busyCoreCount.
+func (h *Host) turboEligible(s int) bool {
+	return h.cfg.TurboFactor > 1 && h.busyCoreCount[s] <= 1
+}
 
 // refreshSocketSpeeds recomputes the effective speed of every running entity
-// in socket s and notifies clients whose speed changed. Called whenever any
-// thread in the socket changes busy state.
+// in socket s and notifies clients whose speed changed. Called when a busy
+// state change flips the socket's turbo eligibility.
 func (h *Host) refreshSocketSpeeds(s int) {
 	per := h.cfg.CoresPerSocket * h.cfg.ThreadsPerCore
 	base := s * per

@@ -36,6 +36,12 @@ type Thread struct {
 	lastSync    sim.Time
 	curSpeed    float64
 	sliceEv     sim.Event
+
+	// sibling is the SMT sibling (nil on single-thread cores) and sliceFn
+	// the bound t.onSlice, both fixed at New so the per-event paths neither
+	// redo the topology arithmetic nor allocate a method value.
+	sibling *Thread
+	sliceFn func()
 }
 
 // ID returns the thread's host-wide identifier.
@@ -57,13 +63,7 @@ func (t *Thread) Current() *Entity { return t.current }
 func (t *Thread) QueueLen() int { return len(t.queue) }
 
 // Sibling returns the SMT sibling thread, or nil on single-thread cores.
-func (t *Thread) Sibling() *Thread {
-	if t.host.cfg.ThreadsPerCore < 2 {
-		return nil
-	}
-	other := t.slot ^ 1
-	return t.host.ThreadAt(t.socket, t.core, other)
-}
+func (t *Thread) Sibling() *Thread { return t.sibling }
 
 // SetSpeedFactor changes the thread's frequency factor (1.0 = nominal).
 // Running entities see the change immediately.
@@ -108,10 +108,10 @@ func (t *Thread) CurrentSpeed() float64 { return t.effectiveSpeed() }
 func (t *Thread) effectiveSpeed() float64 {
 	cfg := t.host.cfg
 	s := cfg.BaseSpeed * t.speedFactor
-	if sib := t.Sibling(); sib != nil && sib.current != nil {
+	if sib := t.sibling; sib != nil && sib.current != nil {
 		s *= cfg.SMTFactor
 	}
-	if cfg.TurboFactor > 1 && t.host.busyCores(t.socket) <= 1 {
+	if t.host.turboEligible(t.socket) {
 		s *= cfg.TurboFactor
 	}
 	return s
@@ -267,11 +267,11 @@ func (t *Thread) start(e *Entity) {
 	e.setState(Running)
 	t.current = e
 	t.lastSync = now
-	coreLevel := t.busyTransition()
+	turboFlip := t.busyTransition()
 	t.curSpeed = t.effectiveSpeed()
 	e.client.Resumed(now, t.curSpeed)
 	t.setSlice()
-	t.notifyBusy(coreLevel)
+	t.notifyBusy(turboFlip)
 }
 
 // stopCurrent halts the running entity, moving it to state `to`. If `to` is
@@ -286,40 +286,45 @@ func (t *Thread) stopCurrent(to EntityState) {
 	t.sliceEv.Cancel()
 	t.sliceEv = sim.Event{}
 	t.current = nil
-	coreLevel := t.busyTransition()
+	turboFlip := t.busyTransition()
 	e.setState(to)
 	if to == Runnable {
 		t.queue = append(t.queue, e)
 	}
 	e.client.Stopped(t.host.eng.Now())
-	t.notifyBusy(coreLevel)
+	t.notifyBusy(turboFlip)
 }
 
 // busyTransition updates the socket's busy-core counter after t.current
-// changed and reports whether the change was core-level (i.e. the core as a
-// whole flipped between idle and busy, which affects turbo for the socket).
-func (t *Thread) busyTransition() (coreLevel bool) {
-	sib := t.Sibling()
-	if sib != nil && sib.current != nil {
+// changed and reports whether the socket's turbo eligibility flipped (the
+// count crossed between 1 and 2 busy cores with turbo enabled). Only then
+// can the change alter another thread's speed: the counter reaches
+// effectiveSpeed only through turboEligible, and every other input of theirs
+// is untouched, since t's sibling is idle whenever the core as a whole
+// flips. A sibling-only change reports no flip.
+func (t *Thread) busyTransition() (turboFlip bool) {
+	if sib := t.sibling; sib != nil && sib.current != nil {
 		return false // core stays busy via the sibling; only SMT changes
 	}
+	h := t.host
+	was := h.turboEligible(t.socket)
 	if t.current != nil {
-		t.host.busyCoreCount[t.socket]++
+		h.busyCoreCount[t.socket]++
 	} else {
-		t.host.busyCoreCount[t.socket]--
+		h.busyCoreCount[t.socket]--
 	}
-	return true
+	return h.turboEligible(t.socket) != was
 }
 
-// notifyBusy pushes the speed consequences of a busy-state change: a
-// core-level change retunes the whole socket (turbo), otherwise only the SMT
-// sibling's contention factor changed.
-func (t *Thread) notifyBusy(coreLevel bool) {
-	if coreLevel {
+// notifyBusy pushes the speed consequences of a busy-state change: a turbo
+// flip retunes the whole socket, otherwise at most the SMT sibling's
+// contention factor changed.
+func (t *Thread) notifyBusy(turboFlip bool) {
+	if turboFlip {
 		t.host.refreshSocketSpeeds(t.socket)
 		return
 	}
-	if sib := t.Sibling(); sib != nil {
+	if sib := t.sibling; sib != nil {
 		sib.refreshSpeed()
 	}
 }
@@ -361,7 +366,7 @@ func (t *Thread) setSlice() {
 	if end < 0 {
 		return
 	}
-	t.sliceEv = t.host.eng.After(end, func() { t.onSlice() })
+	t.sliceEv = t.host.eng.After(end, t.sliceFn)
 }
 
 func (t *Thread) onSlice() {
