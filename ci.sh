@@ -154,6 +154,18 @@ golden_cmp faulttol /tmp/vexp_faulttol.txt
 # serial runs must be byte-identical: observation is inert by construction.
 echo "== obsplane observability determinism smoke"
 twice_cmp obsplane -run obsplane -scale 0.05 -seed 7
+
+# Observation-wiring golden smoke: fleet, fleetobs, attrib and obsplane hand
+# their registries, flight recorders and attribution profiles to the harness
+# through Stats.Observe (and obsplane publishes /metrics through the shared
+# mirror fill). At full scale each report must match the checked-in full
+# record byte for byte.
+echo "== fleet/fleetobs/attrib/obsplane golden smoke (full scale)"
+for id in fleet fleetobs attrib obsplane; do
+    "$vexp" -run "$id" -seed 42 > "/tmp/vexp_${id}_full.txt"
+    golden_cmp "$id" "/tmp/vexp_${id}_full.txt"
+    rm -f "/tmp/vexp_${id}_full.txt"
+done
 rm -f "$vexp" /tmp/vexp_attrib.txt /tmp/vexp_fleetscale.txt /tmp/vexp_fig15.txt \
     /tmp/vexp_fleetobs.txt /tmp/vexp_faulttol.txt /tmp/vexp_obsplane.txt
 

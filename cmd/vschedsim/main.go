@@ -25,7 +25,6 @@ import (
 	"vsched/internal/cloudgen"
 	"vsched/internal/faults"
 	"vsched/internal/latprof"
-	"vsched/internal/metrics"
 	"vsched/internal/obshttp"
 	"vsched/internal/profiling"
 	"vsched/internal/progress"
@@ -209,8 +208,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// safepoint — Run(a) then Run(b) fires exactly the events Run(a+b) would,
 	// in the same order — so observation schedules nothing on the engine and
 	// the whole of stdout (including the engine's self-census telemetry) is
-	// byte-identical with and without -serve. Census gauges live in their own
-	// registry for the same reason, and the bound address goes to stderr.
+	// byte-identical with and without -serve. The self-census goes straight
+	// into the mirror, never into the VM registry, for the same reason, and
+	// the bound address goes to stderr.
 	var obsPublish func()
 	obsFinish := func() {}
 	if *serveAddr != "" {
@@ -226,26 +226,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		label := pub.Label(*workloadName)
 		eng := cl.Engine()
 		total := warm + window
-		obsReg := metrics.NewRegistry()
-		mirror := func() {
-			pub.PublishMirror(func(add func(fam progress.Family, name string, v float64)) {
-				vm.Metrics().VisitNumeric(func(name string, v float64) { add(progress.FamMetric, name, v) })
-				if rec != nil {
-					rec.UpdateCensus(obsReg)
-					for _, s := range rec.Series(false) {
-						add(progress.FamTelemetry, s.Name, s.Last().V)
-					}
-				}
-				tracer.UpdateCensus(obsReg)
-				obsReg.VisitNumeric(func(name string, v float64) { add(progress.FamSelf, name, v) })
-				ws := eng.WheelStats()
-				add(progress.FamSelf, "sim.fired", float64(eng.Fired()))
-				add(progress.FamSelf, "sim.pending", float64(ws.Pending))
-				add(progress.FamSelf, "sim.wheel.resident", float64(ws.WheelResident))
-			})
-		}
+		fill := telemetry.MirrorFill(vm.Metrics(), rec, &telemetry.SelfSource{Eng: eng, Tracer: tracer})
 		pub.Publish(progress.Event{Kind: progress.KindRunStart, Label: label, Total: int64(total)})
-		mirror()
+		pub.PublishMirror(fill)
 		var epoch int64
 		obsPublish = func() {
 			epoch++
@@ -254,14 +237,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 				At: int64(eng.Now()), Epoch: epoch,
 				Done: int64(inst.Ops()), Total: int64(total),
 			})
-			mirror()
+			pub.PublishMirror(fill)
 		}
 		obsFinish = func() {
 			pub.Publish(progress.Event{
 				Kind: progress.KindRunDone, Label: label,
 				At: int64(eng.Now()), Epoch: epoch, Done: int64(inst.Ops()), Total: int64(total),
 			})
-			mirror()
+			pub.PublishMirror(fill)
 			obsRun.Finish()
 			// Give attached stream consumers a beat to drain their terminal
 			// record before the listener dies with the process.

@@ -129,7 +129,7 @@ func Attrib(opt Options) *Report {
 	for _, pat := range attribPatterns() {
 		for _, cfg := range attribConfigs() {
 			prof := runAttrib(opt, pat, cfg.feats)
-			opt.Stats.TrackAttribution("attrib/"+pat.name+"/"+cfg.name, prof.Flatten())
+			opt.Stats.Observe("attrib/"+pat.name+"/"+cfg.name, Observation{Attribution: prof.Flatten()})
 			tot := prof.Totals()
 			blame := "-"
 			if tb := prof.TopBlame(1); len(tb) > 0 {

@@ -76,7 +76,7 @@ func TestAttribReportShape(t *testing.T) {
 			t.Fatalf("row width %d != header %d: %v", len(row), len(rep.Header), row)
 		}
 	}
-	snap := stats.AttributionSnapshot()
+	_, snap, _ := stats.Snapshot()
 	if len(snap) == 0 {
 		t.Fatal("no attribution tracked")
 	}

@@ -37,48 +37,29 @@ type Options struct {
 	Stats *Stats
 }
 
-// Stats collects the engines and metrics registries one experiment run
-// builds. The run itself registers from its own goroutine; Interrupt and the
-// read accessors may be called from another goroutine, hence the lock.
+// Stats collects the engines and observations one experiment run builds.
+// The run itself registers from its own goroutine; Interrupt and the read
+// accessors may be called from another goroutine, hence the lock.
 type Stats struct {
 	mu          sync.Mutex
 	engines     []*sim.Engine
 	interrupted bool
-	regs        labeled[*metrics.Registry]
-	attrib      labeled[map[string]float64]
-	telem       labeled[*telemetry.Recorder]
+	observed    []labeledObservation
+	seen        map[string]int
 }
 
-// labeled is an append-only list of observations, each under a run-unique
-// label. Callers hold Stats.mu.
-type labeled[T any] struct {
-	items []labeledItem[T]
-	seen  map[string]int
+// Observation is what one part of a run exposes to the harness artifact:
+// any of a metrics registry, a telemetry flight recorder, and a flattened
+// latency-attribution profile (see latprof.Profile.Flatten).
+type Observation struct {
+	Registry    *metrics.Registry
+	Telemetry   *telemetry.Recorder
+	Attribution map[string]float64
 }
 
-type labeledItem[T any] struct {
+type labeledObservation struct {
 	label string
-	v     T
-}
-
-func (l *labeled[T]) add(label string, v T) {
-	if l.seen == nil {
-		l.seen = make(map[string]int)
-	}
-	l.items = append(l.items, labeledItem[T]{label: uniqueLabel(l.seen, label), v: v})
-}
-
-// uniqueLabel returns label the first time it is seen and label#n for the
-// n-th repeat. Labels repeat across the VMs an experiment deploys; the
-// suffix is deterministic because registration order is fixed (each trial
-// runs one goroutine).
-func uniqueLabel(seen map[string]int, label string) string {
-	n := seen[label]
-	seen[label] = n + 1
-	if n > 0 {
-		return fmt.Sprintf("%s#%d", label, n+1)
-	}
-	return label
+	Observation
 }
 
 // Track registers an engine. A nil receiver is a no-op, so call sites do not
@@ -108,105 +89,62 @@ func (s *Stats) Interrupt() {
 	}
 }
 
-// TrackRegistry registers a VM's metrics registry under label; repeated
-// labels get a deterministic #n suffix (see uniqueLabel). A nil receiver is
-// a no-op.
-func (s *Stats) TrackRegistry(label string, reg *metrics.Registry) {
-	if s == nil || reg == nil {
+// Observe registers one observation under label, for the harness to embed
+// in the trial artifact. The n-th use of a label becomes label#n (labels
+// repeat across the VMs an experiment deploys); everything one call
+// registers shares its label, and the suffix is deterministic because
+// registration order is fixed (each trial runs one goroutine). A nil
+// receiver, or an observation with nothing in it, is a no-op and uses up no
+// suffix.
+func (s *Stats) Observe(label string, ob Observation) {
+	if s == nil || (ob.Registry == nil && ob.Telemetry == nil && len(ob.Attribution) == 0) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.regs.add(label, reg)
-}
-
-// TrackAttribution records one flattened latency-attribution profile (see
-// latprof.Profile.Flatten) under label, for the harness to embed in the
-// trial artifact. Repeated labels get a deterministic #n suffix. A nil
-// receiver is a no-op.
-func (s *Stats) TrackAttribution(label string, flat map[string]float64) {
-	if s == nil || len(flat) == 0 {
-		return
+	if s.seen == nil {
+		s.seen = make(map[string]int)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.attrib.add(label, flat)
-}
-
-// TrackTelemetry records one flight recorder (see internal/telemetry) under
-// label, for the harness to embed its deterministic snapshot in the trial
-// artifact. Repeated labels get a deterministic #n suffix. A nil receiver or
-// nil recorder is a no-op.
-func (s *Stats) TrackTelemetry(label string, rec *telemetry.Recorder) {
-	if s == nil || rec == nil {
-		return
+	s.seen[label]++
+	if n := s.seen[label]; n > 1 {
+		label = fmt.Sprintf("%s#%d", label, n)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.telem.add(label, rec)
+	s.observed = append(s.observed, labeledObservation{label: label, Observation: ob})
 }
 
-// TelemetrySnapshot exports every tracked recorder's deterministic snapshot
-// keyed by label (nil when nothing was tracked). Volatile series are
-// excluded so the result embeds in determinism-checked artifacts. Only call
-// after the run's goroutine has finished.
-func (s *Stats) TelemetrySnapshot() map[string]*telemetry.Snapshot {
+// Snapshot exports every observation keyed by label: the registries
+// flattened into one label-prefixed map, the attribution profiles merged
+// into another, and each recorder's deterministic snapshot (volatile series
+// excluded, so the result embeds in determinism-checked artifacts). A map is
+// nil when nothing went into it. Only call after the run's goroutine has
+// finished: the instruments themselves are not synchronised.
+func (s *Stats) Snapshot() (metricsFlat, attribution map[string]float64, telem map[string]*telemetry.Snapshot) {
 	if s == nil {
-		return nil
+		return nil, nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out map[string]*telemetry.Snapshot
-	for _, lt := range s.telem.items {
-		if out == nil {
-			out = make(map[string]*telemetry.Snapshot, len(s.telem.items))
-		}
-		out[lt.label] = lt.v.Snapshot(false)
-	}
-	return out
-}
-
-// AttributionSnapshot merges every tracked attribution report into one
-// label-prefixed map (nil when nothing was tracked). Only call after the
-// run's goroutine has finished.
-func (s *Stats) AttributionSnapshot() map[string]float64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out map[string]float64
-	for _, la := range s.attrib.items {
-		if out == nil {
-			out = make(map[string]float64, len(la.v)*len(s.attrib.items))
-		}
-		for k, v := range la.v {
-			out[la.label+"."+k] = v
-		}
-	}
-	return out
-}
-
-// MetricsSnapshot flattens every tracked registry into one label-prefixed
-// map (nil when nothing was tracked). Only call after the run's goroutine
-// has finished: the instruments themselves are not synchronised.
-func (s *Stats) MetricsSnapshot() map[string]float64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out map[string]float64
-	for _, lr := range s.regs.items {
-		flat := lr.v.Snapshot().Flatten()
-		if len(flat) > 0 && out == nil {
-			out = make(map[string]float64, len(flat)*len(s.regs.items))
+	put := func(m *map[string]float64, label string, flat map[string]float64) {
+		if len(flat) > 0 && *m == nil {
+			*m = make(map[string]float64, len(flat)*len(s.observed))
 		}
 		for k, v := range flat {
-			out[lr.label+"."+k] = v
+			(*m)[label+"."+k] = v
 		}
 	}
-	return out
+	for _, o := range s.observed {
+		if o.Registry != nil {
+			put(&metricsFlat, o.label, o.Registry.Snapshot().Flatten())
+		}
+		put(&attribution, o.label, o.Attribution)
+		if o.Telemetry != nil {
+			if telem == nil {
+				telem = make(map[string]*telemetry.Snapshot)
+			}
+			telem[o.label] = o.Telemetry.Snapshot(false)
+		}
+	}
+	return metricsFlat, attribution, telem
 }
 
 // Engines returns how many engines the run built.
@@ -378,6 +316,17 @@ const (
 	VSched
 )
 
+// Features is the vSched feature set the configuration deploys.
+func (c Config) Features() core.Features {
+	switch c {
+	case Enhanced:
+		return core.EnhancedCFS()
+	case VSched:
+		return core.AllFeatures()
+	}
+	return core.Features{}
+}
+
 func (c Config) String() string {
 	switch c {
 	case CFS:
@@ -447,28 +396,14 @@ type deployment struct {
 
 // deploy builds and starts a VM on the given threads under a configuration.
 func deploy(c *cluster, name string, threads []*host.Thread, cfg Config) *deployment {
-	vm := guest.NewVM(c.h, name, threads, guest.DefaultParams())
-	c.stats.TrackRegistry(name, vm.Metrics())
-	vm.Start()
-	d := &deployment{vm: vm}
-	if cfg != CFS {
-		feats := core.EnhancedCFS()
-		if cfg == VSched {
-			feats = core.AllFeatures()
-		}
-		p := core.DefaultParams()
-		p.NominalSpeed = c.h.Config().BaseSpeed
-		d.vs = core.New(vm, feats, p, cachemodel.Default())
-		d.vs.Start()
-	}
-	return d
+	return deployFeatures(c, name, threads, cfg.Features())
 }
 
 // deployFeatures builds a VM with an explicit feature set (for experiments
 // isolating single probers/techniques).
 func deployFeatures(c *cluster, name string, threads []*host.Thread, feats core.Features) *deployment {
 	vm := guest.NewVM(c.h, name, threads, guest.DefaultParams())
-	c.stats.TrackRegistry(name, vm.Metrics())
+	c.stats.Observe(name, Observation{Registry: vm.Metrics()})
 	vm.Start()
 	p := core.DefaultParams()
 	p.NominalSpeed = c.h.Config().BaseSpeed

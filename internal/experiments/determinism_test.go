@@ -57,7 +57,7 @@ func TestStatsObservationIsInert(t *testing.T) {
 	if stats.Engines() == 0 || stats.EventsFired() == 0 {
 		t.Fatalf("stats recorded nothing: engines=%d events=%d", stats.Engines(), stats.EventsFired())
 	}
-	if len(stats.MetricsSnapshot()) == 0 {
+	if m, _, _ := stats.Snapshot(); len(m) == 0 {
 		t.Fatal("stats captured no VM metrics")
 	}
 }

@@ -93,8 +93,7 @@ func FaultTol(o Options) *Report {
 	rec := run(trace.Faults, rcv, 8, &tcfg)
 	gateSerialSharded("faulttol", "recovery", run(trace.Faults, rcv, 1, nil), rec)
 	add("recovery", rec)
-	o.Stats.TrackRegistry("faulttol.recovery", rec.Registry)
-	o.Stats.TrackTelemetry("faulttol.recovery", rec.Telemetry)
+	o.Stats.Observe("faulttol.recovery", Observation{Registry: rec.Registry, Telemetry: rec.Telemetry})
 
 	if rec.Lifetimes <= noRec.Lifetimes {
 		panic(fmt.Sprintf("faulttol: recovery completed %d lifetimes, no-recovery %d — recovery must win strictly",

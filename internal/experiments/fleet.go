@@ -65,7 +65,6 @@ func fleetReport(o Options, workers int) *Report {
 				Seed:           o.Seed,
 				Hosts:          hosts,
 				HostConfig:     hostCfg,
-				Overcommit:     2.0,
 				Policy:         pol,
 				VSched:         vs,
 				Arrivals:       trace,
@@ -90,7 +89,7 @@ func fleetReport(o Options, workers int) *Report {
 	// unique so concurrent registration cannot perturb snapshot naming.
 	results := fleet.RunAll(cfgs, workers, func(i int, f *fleet.Fleet) {
 		o.Stats.Track(f.Engine())
-		o.Stats.TrackRegistry(labels[i], f.Registry())
+		o.Stats.Observe(labels[i], Observation{Registry: f.Registry()})
 	})
 
 	rep := &Report{

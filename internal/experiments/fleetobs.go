@@ -69,7 +69,6 @@ func FleetObs(o Options) *Report {
 			Seed:           o.Seed,
 			Hosts:          hosts,
 			HostConfig:     hostCfg,
-			Overcommit:     2.0,
 			Policy:         pol,
 			VSched:         false,
 			Arrivals:       trace,
@@ -172,8 +171,7 @@ func FleetObs(o Options) *Report {
 		hosts, arrivals, window, horizon, tcfg.Interval)
 
 	for _, r := range serial {
-		o.Stats.TrackRegistry("fleetobs/"+r.Policy, r.Registry)
-		o.Stats.TrackTelemetry("fleetobs/"+r.Policy, r.Telemetry)
+		o.Stats.Observe("fleetobs/"+r.Policy, Observation{Registry: r.Registry, Telemetry: r.Telemetry})
 	}
 	return rep
 }

@@ -124,8 +124,7 @@ func CloudScale(o Options) *Report {
 		// recorder) must not move a single bit of final state.
 		gateSerialSharded("fleetscale", pol.Name(), serial, sharded)
 		r := sharded
-		o.Stats.TrackRegistry("fleetscale."+r.Policy, r.Registry)
-		o.Stats.TrackTelemetry("fleetscale."+r.Policy, r.Telemetry)
+		o.Stats.Observe("fleetscale."+r.Policy, Observation{Registry: r.Registry, Telemetry: r.Telemetry})
 		rep.Add(r.Policy,
 			fmt.Sprintf("%d", r.Placed),
 			fmt.Sprintf("%d", r.Rejected),

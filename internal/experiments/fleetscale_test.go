@@ -28,7 +28,7 @@ func TestCloudScaleRuns(t *testing.T) {
 	if stats.Engines() == 0 {
 		t.Fatal("no engines tracked")
 	}
-	if snaps := stats.TelemetrySnapshot(); len(snaps) != 3 {
+	if _, _, snaps := stats.Snapshot(); len(snaps) != 3 {
 		t.Fatalf("got %d telemetry snapshots, want 3", len(snaps))
 	}
 }

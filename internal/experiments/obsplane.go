@@ -177,8 +177,7 @@ func ObsPlane(o Options) *Report {
 		panic("obsplane: scrape counter never moved")
 	}
 
-	o.Stats.TrackRegistry("obsplane", observed.Registry)
-	o.Stats.TrackTelemetry("obsplane", observed.Telemetry)
+	o.Stats.Observe("obsplane", Observation{Registry: observed.Registry, Telemetry: observed.Telemetry})
 
 	// Everything reported below is a deterministic function of (seed, scale):
 	// epoch-event count derives from the published census, not wall clock.

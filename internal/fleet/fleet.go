@@ -25,7 +25,6 @@ import (
 	"vsched/internal/core"
 	"vsched/internal/guest"
 	"vsched/internal/host"
-	"vsched/internal/latprof"
 	"vsched/internal/metrics"
 	"vsched/internal/sim"
 	"vsched/internal/telemetry"
@@ -45,10 +44,6 @@ type Config struct {
 	// thread ID to (socket, core, slot) is the same everywhere.
 	Hosts      int
 	HostConfig host.Config
-	// Overcommit bounds admission: a host accepts a VM while
-	// committed vCPUs + requested <= Overcommit * threads. <=0 means 1.0
-	// (no overcommit).
-	Overcommit float64
 	// Policy decides placement. Required.
 	Policy Policy
 	// VSched attaches the full vSched system (probers + bvs + ivh + rwc)
@@ -66,19 +61,18 @@ type Config struct {
 	// Tracer, when non-nil, receives fleet events (and is attached to every
 	// host for entity-level events).
 	Tracer *vtrace.Tracer
-	// Attribution attaches a latency-attribution profiler (internal/latprof)
-	// to every placed VM and reports per-VM cause breakdowns in
-	// Result.Attribution plus fleet.attrib.* gauges. Observation only: the
-	// simulation is byte-identical with it on or off.
-	Attribution bool
 	// Telemetry, when non-nil, attaches a flight recorder (see
 	// internal/telemetry) sampling the cell registry, per-host steal and
 	// utilization, per-VM-class population, and the simulator itself into
 	// compressed bounded-memory time series; Result.Telemetry carries the
-	// recorder after Run. Observation only, like Attribution: the simulation
-	// is byte-identical with it on or off.
+	// recorder after Run. Observation only: the simulation is byte-identical
+	// with it on or off.
 	Telemetry *telemetry.Config
 }
+
+// overcommit bounds admission on both tiers: a host accepts a VM while
+// committed vCPUs + requested <= overcommit * threads.
+const overcommit = 2.0
 
 // MigrationConfig tunes the live-migration controller: every Every it looks
 // for the host with the highest smoothed steal rate and, if that exceeds
@@ -118,12 +112,6 @@ type Result struct {
 	// Registry holds the fleet-wide instruments (fleet.* counters, the e2e
 	// histogram, steal gauge) for harness artifact embedding.
 	Registry *metrics.Registry
-	// Attribution maps VM name to its latency-attribution profile when
-	// Config.Attribution was set; nil otherwise. Cause classification is
-	// exact for every VM (it depends only on the VM's own entity and guest
-	// events); steal *blame* names are approximate for VMs that live-migrated
-	// (see the routing note on hostState.attribVMs).
-	Attribution map[string]*latprof.Profile
 	// Telemetry is the cell's flight recorder when Config.Telemetry was set;
 	// nil otherwise.
 	Telemetry *telemetry.Recorder
@@ -139,16 +127,6 @@ type hostState struct {
 	committed int
 	vms       []*fleetVM
 	stealEMA  float64
-	// attribVMs are the VMs *created* on this host, when attribution is on.
-	// Entity state-change notifications always fire on the creation host's
-	// observer list (host.Entity keeps its birth host even across live
-	// migration), so this — unlike vms — is the stable routing key for
-	// entity events, and is never mutated by migration or departure. The
-	// flip side: a migrated VM's profiler keeps listening here, where thread
-	// ids in events can numerically collide with the destination host's, so
-	// steal-blame names for migrated VMs are approximate (causes stay exact:
-	// they derive from the VM's own entity states, which follow the entity).
-	attribVMs []*fleetVM
 }
 
 // fleetVM is one placed VM with its lifecycle state.
@@ -172,8 +150,6 @@ type fleetVM struct {
 	// stealSeen is the telemetry baseline: total steal across the VM's
 	// vCPUs at the last sample, attributed to whichever host it sat on.
 	stealSeen sim.Duration
-	// prof is the VM's latency-attribution profiler (Config.Attribution).
-	prof *latprof.Profiler
 }
 
 // Fleet is a cluster under simulation. Build with New, inspect Engine, then
@@ -203,9 +179,6 @@ func New(cfg Config) *Fleet {
 	if cfg.Policy == nil {
 		panic("fleet: nil placement policy")
 	}
-	if cfg.Overcommit <= 0 {
-		cfg.Overcommit = 1.0
-	}
 	if cfg.TelemetryEvery <= 0 {
 		cfg.TelemetryEvery = 50 * sim.Millisecond
 	}
@@ -213,25 +186,11 @@ func New(cfg Config) *Fleet {
 	for i := 0; i < cfg.Hosts; i++ {
 		h := host.New(f.eng, cfg.HostConfig)
 		vtrace.AttachHost(cfg.Tracer, h)
-		hs := &hostState{
+		f.hosts = append(f.hosts, &hostState{
 			index: i,
 			h:     h,
 			occ:   make([]int, h.NumThreads()),
-		}
-		if cfg.Attribution {
-			// Fan the host's entity events out to the profilers of the VMs
-			// created here (see the attribVMs routing note). AttachHost only
-			// feeds host-kind events into the tap, so fanning to several
-			// profilers is safe: each VM's guest events arrive solely through
-			// its own tracer tee in arrive().
-			tap := vtrace.NewObserver(func(ev vtrace.Event) {
-				for _, vm := range hs.attribVMs {
-					vm.prof.Observe(ev)
-				}
-			})
-			vtrace.AttachHost(tap, h)
-		}
-		f.hosts = append(f.hosts, hs)
+		})
 	}
 	caps := make([]int, len(f.hosts))
 	for i := range caps {
@@ -266,7 +225,7 @@ func (f *Fleet) Registry() *metrics.Registry { return f.reg }
 
 // capacity is the committed-vCPU admission bound per host.
 func (f *Fleet) capacity() int {
-	return int(f.cfg.Overcommit * float64(f.hosts[0].h.NumThreads()))
+	return int(overcommit * float64(f.hosts[0].h.NumThreads()))
 }
 
 // pickThreads chooses n distinct threads on hs, least-committed first (ties
@@ -388,19 +347,7 @@ func (f *Fleet) spawn(a Arrival, hi int, name string) *fleetVM {
 		id: a.ID, name: name, typ: a.Type,
 		hostIdx: hi, threads: threads, gvm: gvm, alive: true,
 	}
-	if cfg.Attribution {
-		prof := latprof.New(latprof.Config{VM: name, NominalSpeed: hs.h.Config().BaseSpeed})
-		vm.prof = prof
-		// Tee the VM's guest events into its profiler while preserving the
-		// shared tracer stream (Emit is nil-safe when no tracer is set).
-		gvm.SetTracer(vtrace.NewObserver(func(ev vtrace.Event) {
-			prof.Observe(ev)
-			cfg.Tracer.Emit(ev.At, ev.Kind, ev.Subject, ev.A0, ev.A1, ev.A2)
-		}))
-		hs.attribVMs = append(hs.attribVMs, vm)
-	} else {
-		gvm.SetTracer(cfg.Tracer)
-	}
+	gvm.SetTracer(cfg.Tracer)
 	gvm.Start()
 	if cfg.VSched {
 		p := core.DefaultParams()
@@ -510,25 +457,5 @@ func (f *Fleet) collect(arr []Arrival) *Result {
 	}
 	f.reg.Gauge("fleet.steal_seconds").Set(float64(r.Steal) / 1e9)
 	f.reg.Counter("fleet.ops").Add(r.Ops)
-	if f.cfg.Attribution {
-		r.Attribution = make(map[string]*latprof.Profile, len(f.vms))
-		now := f.eng.Now()
-		for _, vm := range f.vms {
-			p := vm.prof.Finish(now)
-			// The conservation invariant holds fleet-wide, not just in the
-			// scripted single-VM rigs: every span's components sum to its
-			// wall time even across organic contention and live migration.
-			if err := p.CheckConservation(); err != nil {
-				panic(err)
-			}
-			r.Attribution[vm.name] = p
-			tot := p.Totals()
-			pre := "fleet.attrib." + vm.name + "."
-			for _, c := range latprof.Causes() {
-				f.reg.Gauge(pre + c.Key() + "_ns").Set(float64(tot.NS[c]))
-			}
-			f.reg.Gauge(pre + "spans").Set(float64(len(p.Spans)))
-		}
-	}
 	return r
 }

@@ -33,7 +33,6 @@ func testConfig(seed int64, pol Policy, vs bool) Config {
 		Seed:       seed,
 		Hosts:      4,
 		HostConfig: testHostConfig(),
-		Overcommit: 2.0,
 		Policy:     pol,
 		VSched:     vs,
 		Arrivals:   GenerateArrivals(seed, 12, 1500*sim.Millisecond, testMix()),
@@ -191,73 +190,6 @@ func TestShardedMatchesSerial(t *testing.T) {
 			s.E2E.P50() != p.E2E.P50() || s.E2E.P95() != p.E2E.P95() {
 			t.Fatalf("cell %d (%s/%s) differs between serial and sharded runs:\n%+v\nvs\n%+v",
 				i, s.Policy, s.Guest, s, p)
-		}
-	}
-}
-
-// TestFleetAttribution covers the cloud-layer integration of the latency
-// profiler: one profile per placed VM, conservation fleet-wide (organic
-// contention, live migration and all), fleet.attrib.* gauges, byte-identical
-// reruns, and strict observation inertness versus a profiler-free run.
-func TestFleetAttribution(t *testing.T) {
-	base := New(testConfig(11, FirstFit{}, false)).Run()
-	if base.Attribution != nil {
-		t.Fatal("attribution off must leave Result.Attribution nil")
-	}
-	run := func() (*Fleet, *Result) {
-		cfg := testConfig(11, FirstFit{}, false)
-		cfg.Attribution = true
-		f := New(cfg)
-		return f, f.Run()
-	}
-	f, res := run()
-
-	// Observation is inert: every simulation-derived number matches the
-	// profiler-free run bit for bit.
-	if res.Placed != base.Placed || res.Ops != base.Ops || res.Steal != base.Steal ||
-		res.Events != base.Events || res.Migrations != base.Migrations ||
-		res.E2E.Count() != base.E2E.Count() || res.E2E.P95() != base.E2E.P95() {
-		t.Fatalf("attribution perturbed the simulation: placed %d/%d ops %d/%d events %d/%d",
-			res.Placed, base.Placed, res.Ops, base.Ops, res.Events, base.Events)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("rig must exercise live migration (profiles have to survive it)")
-	}
-	if len(res.Attribution) != res.Placed {
-		t.Fatalf("want one profile per placed VM (%d), got %d", res.Placed, len(res.Attribution))
-	}
-	flat := f.Registry().Snapshot().Flatten()
-	spans := 0
-	for name, p := range res.Attribution {
-		if err := p.CheckConservation(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		spans += len(p.Spans)
-		for _, key := range []string{"steal_wait_ns", "run_ns", "spans"} {
-			if _, ok := flat["fleet.attrib."+name+"."+key]; !ok {
-				t.Fatalf("registry missing gauge fleet.attrib.%s.%s", name, key)
-			}
-		}
-	}
-	if spans == 0 {
-		t.Fatal("no spans reconstructed fleet-wide")
-	}
-
-	// Rerun determinism, down to the flattened per-VM profiles.
-	_, res2 := run()
-	if len(res2.Attribution) != len(res.Attribution) {
-		t.Fatalf("rerun profile count diverged: %d vs %d", len(res2.Attribution), len(res.Attribution))
-	}
-	for name, p := range res.Attribution {
-		q, ok := res2.Attribution[name]
-		if !ok {
-			t.Fatalf("rerun lost profile for %s", name)
-		}
-		fa, fb := p.Flatten(), q.Flatten()
-		for k, v := range fa {
-			if fb[k] != v {
-				t.Fatalf("%s: rerun diverged on %s: %v vs %v", name, k, v, fb[k])
-			}
 		}
 	}
 }

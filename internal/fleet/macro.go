@@ -47,8 +47,6 @@ type MacroConfig struct {
 	// Policy places arriving VMs through the HostIndex (O(log hosts) per
 	// placement).
 	Policy Policy
-	// Overcommit scales threads into the admission bound (default 2.0).
-	Overcommit float64
 	// Epoch is the integration step (default 60s of virtual time).
 	Epoch sim.Duration
 	// Shards is the number of worker goroutines for the epoch integration;
@@ -291,9 +289,6 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 	if len(cfg.Trace.Hosts) == 0 {
 		panic("fleet: macro run needs a host population")
 	}
-	if cfg.Overcommit <= 0 {
-		cfg.Overcommit = 2.0
-	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 60 * sim.Second
 	}
@@ -319,7 +314,7 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 	m.hosts = make([]macroHost, len(cfg.Trace.Hosts))
 	caps := make([]int, len(cfg.Trace.Hosts))
 	for i, hs := range cfg.Trace.Hosts {
-		c := int(cfg.Overcommit * float64(hs.Threads))
+		c := int(overcommit * float64(hs.Threads))
 		m.hosts[i] = macroHost{
 			threads:  int32(hs.Threads),
 			capacity: int32(c),
@@ -410,27 +405,10 @@ func (m *macroSim) publishEpoch(end sim.Time) {
 	m.publishMirror()
 }
 
-// publishMirror swaps in a fresh snapshot of the cell registry, the
-// telemetry series tails, and the engine/recorder self-census for /metrics
-// scrapers. Reads only simulation state, from the simulation goroutine.
+// publishMirror swaps in a fresh /metrics snapshot of the cell registry,
+// the telemetry series tails and the self-census (see telemetry.MirrorFill).
 func (m *macroSim) publishMirror() {
-	m.obs.PublishMirror(func(add func(progress.Family, string, float64)) {
-		m.reg.VisitNumeric(func(name string, v float64) { add(progress.FamMetric, name, v) })
-		if m.rec != nil {
-			for _, s := range m.rec.Series(false) {
-				add(progress.FamTelemetry, s.Name, s.Last().V)
-			}
-			add(progress.FamSelf, "telemetry.bytes", float64(m.rec.Bytes()))
-			add(progress.FamSelf, "telemetry.max_bytes", float64(m.rec.MaxBytes()))
-		}
-		ws := m.eng.WheelStats()
-		add(progress.FamSelf, "sim.fired", float64(m.eng.Fired()))
-		add(progress.FamSelf, "sim.pending", float64(ws.Pending))
-		add(progress.FamSelf, "sim.wheel.resident", float64(ws.WheelResident))
-		add(progress.FamSelf, "sim.wheel.slots", float64(ws.OccupiedSlots))
-		add(progress.FamSelf, "sim.wheel.overflow", float64(ws.Overflow))
-		add(progress.FamSelf, "sim.wheel.ready", float64(ws.Ready))
-	})
+	m.obs.PublishMirror(telemetry.MirrorFill(m.reg, m.rec, &telemetry.SelfSource{Eng: m.eng}))
 }
 
 // boundary performs the serial epoch-start work at time t, in a fixed order

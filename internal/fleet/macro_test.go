@@ -116,7 +116,7 @@ func TestMacroContentionModel(t *testing.T) {
 			{ID: 1, At: 0, VCPUs: 4, Class: cloudgen.Batch, Demand: 1.0, Work: 100 * sim.Second},
 		},
 	}
-	res := RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}, Overcommit: 2.0})
+	res := RunMacro(MacroConfig{Trace: trace, Policy: FirstFit{}})
 	if res.Placed != 2 || res.Rejected != 0 {
 		t.Fatalf("placed %d rejected %d, want 2/0", res.Placed, res.Rejected)
 	}
@@ -144,7 +144,7 @@ func TestMacroRejection(t *testing.T) {
 			{ID: 1, At: 0, VCPUs: 2, Class: cloudgen.Service, Demand: 0.3, Lifetime: 60 * sim.Second},
 		},
 	}
-	res := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}, Overcommit: 2.0})
+	res := RunMacro(MacroConfig{Trace: trace, Policy: LeastLoaded{}})
 	if res.Rejected != 1 || res.Placed != 1 {
 		t.Fatalf("placed %d rejected %d, want 1/1", res.Placed, res.Rejected)
 	}

@@ -14,7 +14,7 @@ func TestMigrationCooldownStopsPingPong(t *testing.T) {
 	bt := VMType{Name: "b", VCPUs: 2, BatchWork: sim.Millisecond}
 	mk := func(cool sim.Duration) *Fleet {
 		f := New(Config{
-			Seed: 1, Hosts: 2, HostConfig: testHostConfig(), Overcommit: 2.0,
+			Seed: 1, Hosts: 2, HostConfig: testHostConfig(),
 			Policy:  FirstFit{},
 			Horizon: 300 * sim.Millisecond,
 			Migration: MigrationConfig{
@@ -51,7 +51,7 @@ func TestMigrationCooldownStopsPingPong(t *testing.T) {
 func TestMigrationWhileExiting(t *testing.T) {
 	bt := VMType{Name: "b", VCPUs: 2, BatchWork: sim.Millisecond}
 	f := New(Config{
-		Seed: 1, Hosts: 2, HostConfig: testHostConfig(), Overcommit: 2.0,
+		Seed: 1, Hosts: 2, HostConfig: testHostConfig(),
 		Policy:    FirstFit{},
 		Horizon:   100 * sim.Millisecond,
 		Migration: MigrationConfig{Downtime: 20 * sim.Millisecond},

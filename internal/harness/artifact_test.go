@@ -16,10 +16,10 @@ func attribRunner(id string) experiments.Runner {
 	r := synthetic(id)
 	inner := r.Run
 	r.Run = func(o experiments.Options) *experiments.Report {
-		o.Stats.TrackAttribution(id+"/vm", map[string]float64{
+		o.Stats.Observe(id+"/vm", experiments.Observation{Attribution: map[string]float64{
 			"spans":            12,
 			"steal_wait_share": 0.25,
-		})
+		}})
 		return inner(o)
 	}
 	return r
@@ -223,7 +223,7 @@ func telemetryRunner(id string) experiments.Runner {
 		}))
 		rec.Start()
 		eng.RunFor(sim.Second)
-		o.Stats.TrackTelemetry(id+"/rec", rec)
+		o.Stats.Observe(id+"/rec", experiments.Observation{Telemetry: rec})
 		return inner(o)
 	}
 	return r

@@ -472,9 +472,7 @@ func attemptTrial(slot *TrialResult, r experiments.Runner, cfg Config) {
 		slot.WallTime = time.Since(start)
 		slot.Events = stats.EventsFired()
 		slot.Engines = stats.Engines()
-		slot.Metrics = stats.MetricsSnapshot()
-		slot.Attribution = stats.AttributionSnapshot()
-		slot.Telemetry = stats.TelemetrySnapshot()
+		slot.Metrics, slot.Attribution, slot.Telemetry = stats.Snapshot()
 		slot.TimedOut = timedOut
 		switch {
 		case timedOut:
