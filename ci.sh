@@ -41,12 +41,14 @@ go test -race -short ./internal/harness/... ./internal/sim/... ./internal/metric
 echo "== engine differential suite (-race)"
 go test -race -run 'Differential|WheelCorners|AllocBudget' ./internal/sim/
 
-# Host speed-model fuzzer and guest hot-path allocation gate, never -short:
-# the fuzzer checks every running entity's speed against the model after
-# each random operation (a missed turbo-crossing refresh shows up here), and
-# the guest gate pins a warmed VM's event path at zero mallocs per event.
-echo "== host speed fuzz + guest hot-path alloc budget"
-go test -run 'HostSchedulerStateFuzz|AllocBudget' ./internal/host/ ./internal/guest/
+# Host speed-model fuzzer and hot-path allocation gates, never -short: the
+# fuzzer checks every running entity's speed against the model after each
+# random operation (a missed turbo-crossing refresh shows up here), the
+# guest gate pins a warmed VM's compute path at zero mallocs per event, and
+# the core gate pins the blocking paths and vSched's probers (vcap, vtop,
+# bvs, ivh) at their measured per-session remainder.
+echo "== host speed fuzz + guest/core hot-path alloc budgets"
+go test -run 'HostSchedulerStateFuzz|AllocBudget' ./internal/host/ ./internal/guest/ ./internal/core/
 
 # One experiments binary serves every smoke below.
 vexp=/tmp/vexp_ci
@@ -118,6 +120,17 @@ golden_cmp fleetscale /tmp/vexp_fleetscale.txt
 echo "== fig15 golden smoke (full scale)"
 "$vexp" -run fig15 -seed 42 > /tmp/vexp_fig15.txt
 golden_cmp fig15 /tmp/vexp_fig15.txt
+
+# vm-latency golden smoke: fig14 and fig18 at full scale run request
+# servers through vtop's polls, bvs, timer sleeps and semaphore queues on a
+# contended VM; their reports must match the checked-in full record byte
+# for byte.
+echo "== fig14/fig18 golden smoke (full scale)"
+for id in fig14 fig18; do
+    "$vexp" -run "$id" -seed 42 > "/tmp/vexp_${id}_full.txt"
+    golden_cmp "$id" "/tmp/vexp_${id}_full.txt"
+    rm -f "/tmp/vexp_${id}_full.txt"
+done
 
 # Fleet benchmark pipeline: the -bench fleet smoke must emit a schema-valid
 # artifact and self-diff clean (exercising the lifetimes_per_sec metric in

@@ -11,6 +11,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"vsched/internal/cachemodel"
@@ -125,6 +126,10 @@ type VSched struct {
 	// bvsMedianGate anchors the low-latency cutoff to the median instead of
 	// the best class (ablation).
 	bvsMedianGate bool
+
+	// capScratch is medianCapacity's sort buffer, reused across the bvs
+	// and ivh calls that need the median.
+	capScratch []int64
 
 	userGroup   *guest.CGroup // normal-policy user workloads
 	beGroup     *guest.CGroup // best-effort (SCHED_IDLE) user workloads
@@ -283,11 +288,12 @@ func (s *VSched) QueryState(v *guest.VCPU) (VCPUState, sim.Time) {
 
 // medianCapacity returns the median published capacity across vCPUs.
 func (s *VSched) medianCapacity() int64 {
-	caps := make([]int64, 0, s.vm.NumVCPUs())
+	caps := s.capScratch[:0]
 	for _, v := range s.vm.VCPUs() {
 		caps = append(caps, v.Capacity())
 	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
+	slices.Sort(caps)
+	s.capScratch = caps
 	return caps[(len(caps)-1)/2]
 }
 

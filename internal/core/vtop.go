@@ -128,6 +128,10 @@ type session struct {
 	deadline  sim.Time
 	finished  bool
 	done      func(sessionResult)
+	// pollFn is sess.poll bound once when the probers start: polls
+	// reschedule every pollEvery, and passing the method value to
+	// eng.After would allocate a closure each time.
+	pollFn func()
 }
 
 // probePair measures the distance between vCPUs ai and bi. extended
@@ -174,7 +178,8 @@ func (t *Vtop) probePair(ai, bi int, extended bool, done func(sessionResult)) {
 		now := s.eng.Now()
 		sess.lastPoll = now
 		sess.deadline = now.Add(500 * sim.Millisecond)
-		s.eng.After(t.pollEvery, sess.poll)
+		sess.pollFn = sess.poll
+		s.eng.After(t.pollEvery, sess.pollFn)
 	})
 }
 
@@ -225,7 +230,7 @@ func (sess *session) poll() {
 	case now >= sess.deadline:
 		sess.finish(sessionResult{ok: false})
 	default:
-		s.eng.After(sess.vt.pollEvery, sess.poll)
+		s.eng.After(sess.vt.pollEvery, sess.pollFn)
 	}
 }
 

@@ -16,7 +16,11 @@ import (
 // bound once at construction (VCPU.completeFn/tickFn/resumeFn,
 // Thread.sliceFn, PatternContender.burstFn/endBurstFn), so the target is
 // zero. If this fails, a hot schedule went back to passing a fresh method
-// value or closure to eng.After — fix that, don't raise the budget.
+// value or closure to eng.After — fix that, don't raise the budget. The
+// blocking paths (sleeps, wait queues, barriers, broadcasts, pending IRQs,
+// wakeup preemption) and vSched's probers are gated by
+// core.TestVSchedAllocBudget, which drives them under vcap, vtop, bvs and
+// ivh.
 const hotPathAllocBudget = 0
 
 func TestHotPathAllocBudget(t *testing.T) {

@@ -99,6 +99,12 @@ type VM struct {
 	// so balancing and fork placement need no per-call maps.
 	sockets [][]int
 	cores   [][]*VCPU
+	// socketIdx[i] and coreIdx[i] index vCPU i's groups in sockets and
+	// cores, so CPU selection walks one group instead of every vCPU.
+	socketIdx, coreIdx []int
+
+	// decay memoises the PELT/tick-EMA decay factor (see decayCache).
+	decay decayCache
 
 	taskSeq      int
 	lastBalance  sim.Time
@@ -123,6 +129,7 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 		params:  params,
 		topo:    DefaultBelief(len(threads)),
 		llcLoad: make([]float64, h.Config().Sockets),
+		decay:   newDecayCache(),
 	}
 	vm.reg = metrics.NewRegistry()
 	vm.ctr = guestCounters{
@@ -138,6 +145,7 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 	for i, th := range threads {
 		v := &VCPU{vm: vm, id: i, cfsCapacity: 1024}
 		v.completeFn, v.tickFn, v.resumeFn = v.onComplete, v.tickFire, v.onResumeWork
+		v.preemptFn = v.wakeupResched
 		v.ent = h.NewEntity(fmt.Sprintf("%s/vcpu%d", name, i), th, host.DefaultWeight, v)
 		vm.vcpus = append(vm.vcpus, v)
 	}
@@ -145,10 +153,18 @@ func NewVM(h *host.Host, name string, threads []*host.Thread, params Params) *VM
 	return vm
 }
 
-// rebuildGroups recomputes the cached socket and core groups from vm.topo.
+// rebuildGroups recomputes the cached socket and core groups, and each
+// vCPU's index into them, from vm.topo.
 func (vm *VM) rebuildGroups() {
 	vm.sockets = vm.topo.Sockets()
+	vm.socketIdx = make([]int, len(vm.vcpus))
+	for k, ids := range vm.sockets {
+		for _, id := range ids {
+			vm.socketIdx[id] = k
+		}
+	}
 	vm.cores = nil
+	vm.coreIdx = make([]int, len(vm.vcpus))
 	idx := map[int]int{}
 	for i, v := range vm.vcpus {
 		g := vm.topo.CoreOf[i]
@@ -159,6 +175,7 @@ func (vm *VM) rebuildGroups() {
 			vm.cores = append(vm.cores, nil)
 		}
 		vm.cores[k] = append(vm.cores[k], v)
+		vm.coreIdx[i] = k
 	}
 }
 
@@ -420,14 +437,7 @@ func (vm *VM) enqueue(v *VCPU, t *Task, waker *VCPU) {
 				vm.countIPI(waker, v)
 			}
 			v.needResched = true
-			vm.eng.After(0, func() {
-				if v.needResched {
-					v.needResched = false
-					if v.hostActive {
-						v.reschedule()
-					}
-				}
-			})
+			vm.eng.After(0, v.preemptFn)
 		} else {
 			v.needResched = true
 		}
@@ -491,21 +501,27 @@ func (vm *VM) chargeMigrationCost(t *Task, src, dst *VCPU) {
 // Equivalent to a task running SemPost, but callable from timers.
 func (vm *VM) Post(s *Semaphore) {
 	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		vm.wakeTask(w, nil)
+		vm.wakeTask(popFront(&s.waiters), nil)
 		return
 	}
 	s.count++
 }
 
 // BroadcastCond wakes all waiters of c from daemon/interrupt context.
-func (vm *VM) BroadcastCond(c *Cond) {
+func (vm *VM) BroadcastCond(c *Cond) { vm.broadcast(c, nil) }
+
+// broadcast wakes every waiter of c, fan-out style. The waiter list swaps
+// with c.spare, so both backing arrays are reused and a task that waits on
+// c during the wake loop joins the next generation, not the slice being
+// iterated. Wakeups never run a task program synchronously, so no second
+// broadcast can swap the iterated slice back in before the loop ends.
+func (vm *VM) broadcast(c *Cond, waker *VCPU) {
 	ws := c.waiters
-	c.waiters = nil
+	c.waiters, c.spare = c.spare[:0], ws
 	for _, w := range ws {
-		vm.wakeTaskWide(w, nil, true)
+		vm.wakeTaskWide(w, waker, true)
 	}
+	clear(ws)
 }
 
 // --- task program execution ---
@@ -532,12 +548,15 @@ func (vm *VM) advance(t *Task) {
 
 		case SegSleep:
 			vm.blockCurr(t)
-			d := seg.Dur
-			vm.eng.After(d, func() {
-				// Timer fires on the task's last vCPU; delivery waits for
-				// that vCPU to really run.
-				vm.DeliverIRQ(t.cpu, func() { vm.wakeTask(t, nil) })
-			})
+			if t.sleepFn == nil {
+				t.wakeFn = func() { vm.wakeTask(t, nil) }
+				t.sleepFn = func() {
+					// Timer fires on the task's last vCPU; delivery waits
+					// for that vCPU to really run.
+					vm.DeliverIRQ(t.cpu, t.wakeFn)
+				}
+			}
+			vm.eng.After(seg.Dur, t.sleepFn)
 			return
 
 		case SegAcquire:
@@ -575,19 +594,12 @@ func (vm *VM) advance(t *Task) {
 		case SegCondSignal:
 			c := seg.Cond
 			if len(c.waiters) > 0 {
-				w := c.waiters[0]
-				c.waiters = c.waiters[1:]
-				vm.wakeTask(w, v)
+				vm.wakeTask(popFront(&c.waiters), v)
 			}
 			continue
 
 		case SegCondBroadcast:
-			c := seg.Cond
-			ws := c.waiters
-			c.waiters = nil
-			for _, w := range ws {
-				vm.wakeTaskWide(w, v, true)
-			}
+			vm.broadcast(seg.Cond, v)
 			continue
 
 		case SegSemWait:
@@ -603,9 +615,7 @@ func (vm *VM) advance(t *Task) {
 		case SegSemPost:
 			s := seg.Sem
 			if len(s.waiters) > 0 {
-				w := s.waiters[0]
-				s.waiters = s.waiters[1:]
-				vm.wakeTask(w, v)
+				vm.wakeTask(popFront(&s.waiters), v)
 			} else {
 				s.count++
 			}
@@ -615,8 +625,11 @@ func (vm *VM) advance(t *Task) {
 			b := seg.Barrier
 			b.arrived = append(b.arrived, t)
 			if len(b.arrived) == b.parties {
+				// Swap in the spare list, as broadcast does: an arrival
+				// during the release loop starts the next generation in
+				// the other array.
 				others := b.arrived[:len(b.arrived)-1]
-				b.arrived = nil
+				b.arrived, b.spare = b.spare[:0], b.arrived
 				for _, o := range others {
 					if o.spinBarrier == b {
 						vm.abortSpin(o)
@@ -624,6 +637,7 @@ func (vm *VM) advance(t *Task) {
 						vm.wakeTaskWide(o, v, true)
 					}
 				}
+				clear(b.spare)
 				continue // last arriver proceeds
 			}
 			if b.Spin {
@@ -688,15 +702,13 @@ func (vm *VM) advance(t *Task) {
 // (they grab it the instant it frees), then blocked waiters FIFO.
 func (vm *VM) releaseMutex(m *Mutex, waker *VCPU) {
 	if len(m.spinners) > 0 {
-		next := m.spinners[0]
-		m.spinners = m.spinners[1:]
+		next := popFront(&m.spinners)
 		m.owner = next
 		vm.abortSpin(next)
 		return
 	}
 	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		next := popFront(&m.waiters)
 		m.owner = next
 		vm.wakeTask(next, waker)
 		return

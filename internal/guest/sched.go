@@ -46,9 +46,8 @@ func (v *VCPU) nrRunning() int {
 // coreGroupIdle reports whether every vCPU sharing i's believed core group
 // is guest-idle (an "idle core" in SMT-aware selection).
 func (vm *VM) coreGroupIdle(i int) bool {
-	g := vm.topo.CoreOf[i]
-	for j, v := range vm.vcpus {
-		if vm.topo.CoreOf[j] == g && !v.GuestIdle() {
+	for _, v := range vm.cores[vm.coreIdx[i]] {
+		if !v.GuestIdle() {
 			return false
 		}
 	}
@@ -96,16 +95,16 @@ func (vm *VM) selectCPUDefault(t *Task, prev *VCPU, waker *VCPU) *VCPU {
 	// SMT-aware scan: a fully idle core beats a thread whose sibling is
 	// busy. Without SMT belief every vCPU is its own core and this pass is
 	// just an idle-vCPU scan with capacity fit.
-	if pick := vm.scanIdle(t, util, target.id, inDomain, true); pick != nil {
+	if pick := vm.scanIdle(t, util, target.id, true); pick != nil {
 		return pick
 	}
 	// Any idle vCPU in the domain with capacity fit.
-	if pick := vm.scanIdle(t, util, target.id, inDomain, false); pick != nil {
+	if pick := vm.scanIdle(t, util, target.id, false); pick != nil {
 		return pick
 	}
 	// Any idle vCPU in the domain, ignoring fit.
-	for _, v := range vm.vcpus {
-		if inDomain(v) && vm.allowedFor(t, v) && v.GuestIdle() {
+	for _, id := range vm.sockets[vm.socketIdx[target.id]] {
+		if v := vm.vcpus[id]; vm.allowedFor(t, v) && v.GuestIdle() {
 			return v
 		}
 	}
@@ -119,15 +118,25 @@ func (vm *VM) selectCPUDefault(t *Task, prev *VCPU, waker *VCPU) *VCPU {
 	return vm.firstAllowed(t)
 }
 
-// scanIdle looks for an allowed guest-idle vCPU with capacity fit, scanning
-// from `start` and wrapping (like select_idle_sibling's target-relative
-// scan); wantIdleCore additionally requires its whole believed core to be
-// idle.
-func (vm *VM) scanIdle(t *Task, util float64, start int, in func(*VCPU) bool, wantIdleCore bool) *VCPU {
-	n := len(vm.vcpus)
-	for k := 0; k < n; k++ {
-		v := vm.vcpus[(start+k)%n]
-		if !in(v) || !vm.allowedFor(t, v) || !v.GuestIdle() {
+// scanIdle looks for an allowed guest-idle vCPU with capacity fit in
+// start's believed socket, scanning from `start` and wrapping (like
+// select_idle_sibling's target-relative scan); wantIdleCore additionally
+// requires its whole believed core to be idle. Socket members are in vCPU
+// order, so members >= start, then the rest, is the order of a wrapping
+// scan over all vCPUs that skips other sockets.
+func (vm *VM) scanIdle(t *Task, util float64, start int, wantIdleCore bool) *VCPU {
+	members := vm.sockets[vm.socketIdx[start]]
+	p := 0
+	for p < len(members) && members[p] < start {
+		p++
+	}
+	for k := range members {
+		q := p + k
+		if q >= len(members) {
+			q -= len(members)
+		}
+		v := vm.vcpus[members[q]]
+		if !vm.allowedFor(t, v) || !v.GuestIdle() {
 			continue
 		}
 		if !fitsCapacity(util, v.Capacity()) {
@@ -192,10 +201,11 @@ func (vm *VM) selectCPUFork(t *Task) *VCPU {
 		return vm.firstAllowed(t)
 	}
 	inSock := func(v *VCPU) bool { return vm.topo.SocketOf[v.id] == vm.topo.SocketOf[bestIDs[0]] }
-	if pick := vm.scanIdle(t, t.Util(), bestIDs[0], inSock, true); pick != nil {
+	util := t.Util()
+	if pick := vm.scanIdle(t, util, bestIDs[0], true); pick != nil {
 		return pick
 	}
-	if pick := vm.scanIdle(t, t.Util(), bestIDs[0], inSock, false); pick != nil {
+	if pick := vm.scanIdle(t, util, bestIDs[0], false); pick != nil {
 		return pick
 	}
 	if pick := vm.leastLoaded(t, inSock); pick != nil {

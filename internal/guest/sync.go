@@ -21,6 +21,7 @@ func (m *Mutex) Owner() *Task { return m.owner }
 // Cond is a condition/event channel: tasks wait, others signal or broadcast.
 type Cond struct {
 	waiters []*Task
+	spare   []*Task // the other waiter array, swapped in by broadcast
 }
 
 // Waiters returns the number of blocked waiters.
@@ -49,6 +50,7 @@ func (s *Semaphore) Waiters() int { return len(s.waiters) }
 type Barrier struct {
 	parties int
 	arrived []*Task
+	spare   []*Task // the other arrival array, swapped in on release
 	Spin    bool
 }
 
@@ -65,3 +67,15 @@ func (b *Barrier) Arrived() int { return len(b.arrived) }
 
 // Parties returns the barrier size.
 func (b *Barrier) Parties() int { return b.parties }
+
+// popFront removes and returns the first task of a FIFO wait queue. It
+// shifts the rest down in place: re-slicing with q[1:] would leak the head
+// of the backing array and make every later append reallocate.
+func popFront(q *[]*Task) *Task {
+	s := *q
+	t := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return t
+}

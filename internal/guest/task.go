@@ -175,6 +175,11 @@ type Task struct {
 	util     float64
 	lastPELT sim.Time
 
+	// sleepFn (the SegSleep timer) and wakeFn (the IRQ it delivers) are
+	// bound on the task's first sleep, so a sleep allocates no closures.
+	// sleepFn reads t.cpu when it fires, not when it is armed.
+	sleepFn, wakeFn func()
+
 	// commDebt is extra work (cycles) charged by cross-socket communication:
 	// cache lines the task must pull before making progress. It is paid the
 	// next time the task gets on CPU.
@@ -238,7 +243,11 @@ func (t *Task) IsIdlePolicy() bool { return t.idlePolicy }
 // Util returns the task's PELT utilisation estimate (0..1024), decayed to
 // the current instant.
 func (t *Task) Util() float64 {
-	return decayedUtil(t.util, t.vm.eng.Now().Sub(t.lastPELT))
+	elapsed := t.vm.eng.Now().Sub(t.lastPELT)
+	if elapsed <= 0 {
+		return t.util
+	}
+	return t.util * t.vm.decay.factor(elapsed)
 }
 
 // TotalRun returns cumulative time the task spent executing while its vCPU
@@ -261,11 +270,42 @@ func (t *Task) Exited() bool { return t.exited }
 // pelt constants: Linux's util halves every 32ms of decay.
 const peltTau = 32 * sim.Millisecond
 
-func decayedUtil(u float64, elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return u
+// decayBits sizes the decay memo: 1<<decayBits slots. 64 slots hold the
+// handful of tick-EMA windows and most repeated PELT intervals; a larger
+// table costs measurable RSS on many-VM fleets.
+const decayBits = 6
+
+// decayCache is a direct-mapped memo of math.Exp2(-elapsed/peltTau), keyed
+// by elapsed in ns. A hit returns the value Exp2 produced for the same key,
+// so it is exact by construction; a miss computes and overwrites the slot.
+// Each VM owns one: the harness runs trials concurrently, so a shared table
+// would race.
+type decayCache struct {
+	keys [1 << decayBits]sim.Duration
+	vals [1 << decayBits]float64
+}
+
+// newDecayCache returns an empty memo. Zeroed keys must map to Exp2(-0),
+// which is 1.
+func newDecayCache() decayCache {
+	var c decayCache
+	for i := range c.vals {
+		c.vals[i] = 1
 	}
-	return u * math.Exp2(-float64(elapsed)/float64(peltTau))
+	return c
+}
+
+// factor returns math.Exp2(-elapsed/peltTau) bit for bit.
+func (c *decayCache) factor(elapsed sim.Duration) float64 {
+	// Fibonacci hashing: elapsed values are often whole microseconds or
+	// milliseconds, so their low bits are mostly zero.
+	i := uint64(elapsed) * 0x9E3779B97F4A7C15 >> (64 - decayBits)
+	if c.keys[i] == elapsed {
+		return c.vals[i]
+	}
+	d := math.Exp2(-float64(elapsed) / float64(peltTau))
+	c.keys[i], c.vals[i] = elapsed, d
+	return d
 }
 
 // consumeCommDebt folds accumulated communication cost into the task's
@@ -284,7 +324,7 @@ func (t *Task) updatePELT(now sim.Time, ranDelta sim.Duration) {
 	if elapsed <= 0 {
 		return
 	}
-	d := math.Exp2(-float64(elapsed) / float64(peltTau))
+	d := t.vm.decay.factor(elapsed)
 	frac := float64(ranDelta) / float64(elapsed)
 	if frac > 1 {
 		frac = 1

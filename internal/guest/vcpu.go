@@ -55,8 +55,10 @@ type VCPU struct {
 	pubAvgInactive sim.Duration
 
 	// pendingIRQ holds interrupt work (timer expiries, external arrivals)
-	// that must wait until the vCPU is next really running.
-	pendingIRQ []func()
+	// that must wait until the vCPU is next really running. onResumeWork
+	// drains it by swapping in spareIRQ, so both backing arrays are reused
+	// and IRQs raised during a drain land in the other buffer.
+	pendingIRQ, spareIRQ []func()
 
 	// idleSince records when the vCPU last entered the guest idle loop;
 	// valid only while GuestIdle() holds.
@@ -72,10 +74,11 @@ type VCPU struct {
 	llcF      float64
 	llcSocket int
 
-	// completeFn, tickFn and resumeFn are v.onComplete, v.tickFire and
-	// v.onResumeWork bound once in NewVM: passing a method value to
-	// eng.After would allocate a closure on every schedule.
-	completeFn, tickFn, resumeFn func()
+	// completeFn, tickFn, resumeFn and preemptFn are v.onComplete,
+	// v.tickFire, v.onResumeWork and v.wakeupResched bound once in NewVM:
+	// passing a method value to eng.After would allocate a closure on
+	// every schedule.
+	completeFn, tickFn, resumeFn, preemptFn func()
 }
 
 // llcFactor returns the vCPU's current LLC-contention speed factor.
@@ -286,11 +289,14 @@ func (v *VCPU) onResumeWork() {
 		return // lost the CPU again before the event fired
 	}
 	if len(v.pendingIRQ) > 0 {
+		// Events never nest, so no other drain can run during this loop
+		// and swap irqs back in while it is being iterated.
 		irqs := v.pendingIRQ
-		v.pendingIRQ = nil
+		v.pendingIRQ, v.spareIRQ = v.spareIRQ[:0], irqs
 		for _, fn := range irqs {
 			fn()
 		}
+		clear(irqs)
 	}
 	if v.pendingTick {
 		v.pendingTick = false
@@ -402,8 +408,9 @@ func (v *VCPU) tick() {
 			if frac < 0 {
 				frac = 0
 			}
-			const tau = float64(32 * sim.Millisecond)
-			d := math.Exp2(-float64(window) / tau)
+			// The EMA's 32 ms half-life is peltTau, so it shares the
+			// VM's decay memo: a handful of window lengths recur.
+			d := v.vm.decay.factor(window)
 			v.cfsCapacity = v.cfsCapacity*d + 1024*frac*(1-d)
 		}
 	}
@@ -563,6 +570,18 @@ func (v *VCPU) dispatch() {
 	}
 	v.removeFromRQ(best)
 	v.install(best)
+}
+
+// wakeupResched is the zero-delay event enqueue arms for a wakeup
+// preemption on a running vCPU; onResumeWork or an earlier such event may
+// already have served the request.
+func (v *VCPU) wakeupResched() {
+	if v.needResched {
+		v.needResched = false
+		if v.hostActive {
+			v.reschedule()
+		}
+	}
 }
 
 // reschedule re-evaluates preemption after a remote wakeup set needResched.
