@@ -159,6 +159,24 @@ echo "== faulttol byte-identity + golden smoke (full scale)"
 twice_cmp faulttol -run faulttol -seed 42
 golden_cmp faulttol /tmp/vexp_faulttol.txt
 
+# Benchmark self-tests and macro-tier gate. paperbench is a module of its
+# own, so the root `go test ./...` never runs its fold, gate and metric
+# tests; run them here. Then one fleet-macro pass (fleetscale + faulttol at
+# scale 0.4) at the tuning seed 42 and the held-out seed 7 must match
+# paperbench's recorded report digests. paperbench exits 0 even when a trial
+# fails, so its result line (the last line of stdout) must say "failed":0.
+echo "== paperbench self-tests + fleet-macro gate (seeds 42, 7)"
+(cd paperbench && GOFLAGS=-mod=mod go test .)
+for seed in 42 7; do
+    bash paperbench/run.sh --workload fleet-macro --seconds 1 --seed "$seed" > /tmp/vexp_pb_macro.txt
+    if ! tail -n 1 /tmp/vexp_pb_macro.txt | grep -q '"failed":0,'; then
+        echo "paperbench fleet-macro seed $seed has failed trials:" >&2
+        tail -n 1 /tmp/vexp_pb_macro.txt >&2
+        exit 1
+    fi
+done
+rm -f /tmp/vexp_pb_macro.txt
+
 # Obsplane smoke: the obsplane experiment boots the embedded observability
 # server on an ephemeral port, streams the run's progress events over real
 # TCP, and scrapes /metrics concurrently — with five internal panic gates

@@ -155,7 +155,9 @@ const (
 	vmRejected               // terminally rejected at admission
 )
 
-// macroVM is one VM's compact bookkeeping (no per-vCPU state).
+// macroVM is one VM's compact bookkeeping (no per-vCPU state). While the VM
+// is alive its host's macroLive record owns work, served, steal and done;
+// the copies here are stale until flushLive writes the record back.
 type macroVM struct {
 	at       sim.Time
 	depart   sim.Time // service deadline; batch analytic completion once known
@@ -184,7 +186,12 @@ type macroHost struct {
 	speed     float64
 	stealEMA  float64
 	util      float64 // last epoch's min(1, D/threads)
-	vms       []int32 // live VM ids in placement order
+	// live holds the hot state of the resident VMs in placement order.
+	// demand caches sum(w) over live, summed in that order; stale marks a
+	// membership change since the last sum.
+	live   []macroLive
+	demand float64
+	stale  bool
 	// Fault windows, set serially at epoch boundaries. The host is down
 	// (crashed) while downUntil > t, degraded to degradeFactor x capacity
 	// while degradedUntil > t, and frozen (rho = 0) while stallUntil > t.
@@ -192,6 +199,41 @@ type macroHost struct {
 	degradedUntil sim.Time
 	stallUntil    sim.Time
 	degradeFactor float64
+}
+
+// macroLive is a live VM's integration state, owned by its host: the only
+// copy of work, served, steal and done while the VM is alive, contiguous with
+// its host's other residents so an epoch walks one slice instead of chasing
+// ids into the VM table. w = vcpus * demand is fixed for the VM's stay.
+type macroLive struct {
+	id                  int32
+	batch, done         bool
+	w                   float64
+	work, served, steal float64
+}
+
+// liveRecord builds VM id's host record from its table entry at admission or
+// restart.
+func (m *macroSim) liveRecord(id int32) macroLive {
+	vm := &m.vms[id]
+	return macroLive{
+		id:     id,
+		batch:  vm.batch,
+		done:   vm.done,
+		w:      float64(vm.vcpus) * vm.demand,
+		work:   vm.work,
+		served: vm.served,
+		steal:  vm.steal,
+	}
+}
+
+// flushLive writes a live record's owned state back to the VM table.
+func (m *macroSim) flushLive(l *macroLive) {
+	vm := &m.vms[l.id]
+	vm.done = l.done
+	vm.work = l.work
+	vm.served = l.served
+	vm.steal = l.steal
 }
 
 // macroAgg is the fleet-wide aggregate block the telemetry source samples.
@@ -355,6 +397,13 @@ func RunMacro(cfg MacroConfig) *MacroResult {
 	m.eng.At(0, m.epoch)
 	m.eng.Run(m.horizon)
 	m.boundary(m.horizon) // final departures + arrivals bookkeeping at the edge
+	// Hand the residents' state back to the VM table for result and snapshot.
+	for i := range m.hosts {
+		live := m.hosts[i].live
+		for k := range live {
+			m.flushLive(&live[k])
+		}
+	}
 	return m.result()
 }
 
@@ -567,10 +616,12 @@ func (m *macroSim) applyFaults(t sim.Time) {
 			if until > h.downUntil {
 				h.downUntil = until
 			}
-			for _, id := range h.vms {
-				m.kill(id, t)
+			for k := range h.live {
+				m.flushLive(&h.live[k])
+				m.kill(h.live[k].id, t)
 			}
-			h.vms = h.vms[:0]
+			h.live = h.live[:0]
+			h.stale = true
 			h.committed = 0
 		case faults.Brownout:
 			m.brownouts++
@@ -625,8 +676,22 @@ func (m *macroSim) enqueue(e retryEntry, t sim.Time) {
 		m.terminal(e, t)
 		return
 	}
-	m.retryQ = append(m.retryQ, e)
+	m.retryQ = insertRetry(m.retryQ, e)
 	m.reg.Counter("fleet.macro.retry_queued").Inc()
+}
+
+// insertRetry inserts e into q, which is sorted by (readyAt, id), at its
+// sorted position. A VM has at most one queue entry, so (readyAt, id) is a
+// total order and the queue equals a stable sort of the same entries in any
+// arrival order.
+func insertRetry(q []retryEntry, e retryEntry) []retryEntry {
+	i, _ := slices.BinarySearchFunc(q, e, func(a, b retryEntry) int {
+		if a.readyAt != b.readyAt {
+			return cmp.Compare(a.readyAt, b.readyAt)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	return slices.Insert(q, i, e)
 }
 
 // terminal finalizes a retry entry that ran out of road: crash victims are
@@ -645,18 +710,9 @@ func (m *macroSim) terminal(e retryEntry, t sim.Time) {
 	m.reg.Counter("fleet.macro.lost").Inc()
 }
 
-// retries runs every queue entry due at t in (readyAt, id) order.
+// retries runs every queue entry due at t in (readyAt, id) order: the queue
+// is kept sorted, so the due entries are its prefix.
 func (m *macroSim) retries(t sim.Time) {
-	if len(m.retryQ) == 0 {
-		return
-	}
-	sort.SliceStable(m.retryQ, func(a, b int) bool {
-		ea, eb := m.retryQ[a], m.retryQ[b]
-		if ea.readyAt != eb.readyAt {
-			return ea.readyAt < eb.readyAt
-		}
-		return ea.id < eb.id
-	})
 	cut := 0
 	for cut < len(m.retryQ) && m.retryQ[cut].readyAt <= t {
 		cut++
@@ -709,7 +765,8 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(e.remaining)
 	}
-	h.vms = append(h.vms, e.id)
+	h.live = append(h.live, m.liveRecord(e.id))
+	h.stale = true
 	m.file(e.id)
 	m.restarts++
 	m.events++
@@ -744,9 +801,9 @@ func (m *macroSim) evacuate(t sim.Time) {
 	}
 	for i := range m.hosts {
 		h := &m.hosts[i]
-		for h.committed > m.effCap(h) && len(h.vms) > 0 {
-			id := h.vms[len(h.vms)-1]
-			vm := &m.vms[id]
+		for h.committed > m.effCap(h) && len(h.live) > 0 {
+			l := h.live[len(h.live)-1]
+			vm := &m.vms[l.id]
 			m.migAttempts++
 			m.events++
 			if m.sched.MigrationFails(m.migAttempts) {
@@ -758,11 +815,13 @@ func (m *macroSim) evacuate(t sim.Time) {
 			if hi < 0 || hi == i {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
-			h.vms = h.vms[:len(h.vms)-1]
+			h.live = h.live[:len(h.live)-1]
+			h.stale = true
 			h.committed -= int32(vm.vcpus)
 			d := &m.hosts[hi]
 			d.committed += int32(vm.vcpus)
-			d.vms = append(d.vms, id)
+			d.live = append(d.live, l)
+			d.stale = true
 			vm.host = int32(hi)
 			m.evacuations++
 			m.reg.Counter("fleet.macro.evacuations").Inc()
@@ -780,7 +839,7 @@ func (m *macroSim) macroInfo(i int) HostInfo {
 		Index:     i,
 		Committed: int(h.committed),
 		Capacity:  int(m.effCap(h)),
-		VMs:       len(h.vms),
+		VMs:       len(h.live),
 		StealRate: h.stealEMA,
 	}
 }
@@ -840,23 +899,27 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(tv.Lifetime)
 	}
-	h.vms = append(h.vms, int32(idx))
+	h.live = append(h.live, m.liveRecord(int32(idx)))
+	h.stale = true
 	m.file(int32(idx))
 	m.placed++
 	m.reg.Counter("fleet.macro.placed").Inc()
 	m.reindexHost(hi)
 }
 
-// depart releases VM id's commitment and removes it from its host.
+// depart releases VM id's commitment and removes it from its host, flushing
+// its live record.
 func (m *macroSim) depart(id int32) {
 	vm := &m.vms[id]
 	vm.alive = false
 	vm.state = vmCompleted
 	h := &m.hosts[vm.host]
 	h.committed -= int32(vm.vcpus)
-	for k, v := range h.vms {
-		if v == id {
-			h.vms = append(h.vms[:k], h.vms[k+1:]...)
+	for k := range h.live {
+		if h.live[k].id == id {
+			m.flushLive(&h.live[k])
+			h.live = append(h.live[:k], h.live[k+1:]...)
+			h.stale = true
 			break
 		}
 	}
@@ -900,11 +963,6 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 
 	// Serial merge, shard order == host order: batch completions are filed
 	// in the calendar with their boundary departure time.
-	var events uint64
-	for i := range m.hosts {
-		events += uint64(len(m.hosts[i].vms)) + 1
-	}
-	m.events += events
 	for s := 0; s < shards; s++ {
 		for _, id := range m.completions[s] {
 			vm := &m.vms[id]
@@ -919,12 +977,15 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		}
 	}
 
-	// Degree of imbalance over hosts with any capacity, serial in host order.
+	// Degree of imbalance over hosts with any capacity, serial in host order,
+	// plus one event per host and per resident VM integrated.
 	minU, maxU, sumU := math.Inf(1), math.Inf(-1), 0.0
 	sumSteal, sumCommitted, alive := 0.0, 0.0, 0.0
 	down, degraded, stalled := 0.0, 0.0, 0.0
+	var events uint64
 	for i := range m.hosts {
 		h := &m.hosts[i]
+		events += uint64(len(h.live)) + 1
 		u := h.util
 		if u < minU {
 			minU = u
@@ -935,7 +996,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 		sumU += u
 		sumSteal += h.stealEMA
 		sumCommitted += float64(h.committed)
-		alive += float64(len(h.vms))
+		alive += float64(len(h.live))
 		if h.downUntil > t0 {
 			down++
 		} else if h.degradedUntil > t0 {
@@ -945,6 +1006,7 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 			stalled++
 		}
 	}
+	m.events += events
 	// Availability ledger: committed vCPU-seconds delivered-or-placed this
 	// epoch. The down side accrues per crash victim at restart/loss time.
 	m.upVCPUSeconds += sumCommitted * t1.Sub(t0).Seconds()
@@ -978,7 +1040,8 @@ func (m *macroSim) integrate(t0, t1 sim.Time) {
 }
 
 // integrateRange advances hosts [lo, hi) through [t0, t1), appending batch
-// VMs whose budget drained to done. Touches only state owned by those hosts.
+// VMs whose budget drained to done. Touches only state owned by those hosts:
+// their live records, and the depart of a VM completing on one of them.
 func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []int32 {
 	dt := t1.Sub(t0).Seconds()
 	const alpha = 0.4 // same smoothing the micro fleet's steal EMA uses
@@ -994,11 +1057,16 @@ func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []i
 		} else if h.degradedUntil > t0 {
 			effT = h.degradeFactor * float64(h.threads)
 		}
-		demand := 0.0
-		for _, id := range h.vms {
-			vm := &m.vms[id]
-			demand += float64(vm.vcpus) * vm.demand
+		// Same addends in the same order as a fresh sum, so reusing it while
+		// membership is unchanged cannot change a bit.
+		if h.stale {
+			sum := 0.0
+			for k := range h.live {
+				sum += h.live[k].w
+			}
+			h.demand, h.stale = sum, false
 		}
+		demand := h.demand
 		rho := 1.0
 		util := 0.0
 		if effT <= 0 {
@@ -1021,28 +1089,28 @@ func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []i
 			target = 1 - rho
 		}
 		h.stealEMA = alpha*target + (1-alpha)*h.stealEMA
-		for _, id := range h.vms {
-			vm := &m.vms[id]
+		for k := range h.live {
+			l := &h.live[k]
 			span := dt
-			if vm.batch && !vm.done {
+			if l.batch && !l.done {
 				rate := rho * h.speed // per-vCPU progress per second
-				if need := vm.work / rate; need < span {
+				if need := l.work / rate; need < span {
 					span = need
-					vm.work = 0
-					vm.done = true
+					l.work = 0
+					l.done = true
 					// Analytic completion instant; integrate() lifts it
 					// into the makespan then quantizes the departure.
-					vm.depart = t0.Add(sim.Duration(span * float64(sim.Second)))
-					done = append(done, id)
+					m.vms[l.id].depart = t0.Add(sim.Duration(span * float64(sim.Second)))
+					done = append(done, l.id)
 				} else {
-					vm.work -= rate * span
+					l.work -= rate * span
 				}
-			} else if vm.done {
+			} else if l.done {
 				span = 0 // budget drained in a prior epoch; idle until boundary
 			}
-			req := float64(vm.vcpus) * vm.demand * span
-			vm.served += req * rho
-			vm.steal += req * (1 - rho)
+			req := l.w * span
+			l.served += req * rho
+			l.steal += req * (1 - rho)
 		}
 	}
 	return done

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"vsched/internal/cloudgen"
@@ -546,10 +548,22 @@ func calendarEdgeFaults() *faults.Schedule {
 // resident at the horizon, and crash restarts due on the horizon boundary.
 // The digests were recorded from the departure-queue implementation that
 // re-sorted every live VM each epoch; any departure-order change breaks them.
+// The gen-storm cases add a generated storm of crashes, brownouts and stalls
+// with a 20% migration-failure law, with recovery on (kills, restarts and
+// evacuations every few epochs) and off (every crash victim lost). They were
+// recorded from the implementation that kept each host's live VMs as an id
+// list into the VM table and re-summed host demand every epoch, so they pin
+// the live-record flushes and the evacuation order of the current one.
 func TestMacroGoldenDigests(t *testing.T) {
 	edge := calendarEdgeTrace(13)
 	gen := macroTestTrace(5)
 	rcv := faults.RecoveryConfig{Enabled: true, BaseBackoff: 55 * sim.Second}
+	storm := faults.Generate(5, len(gen.Hosts), 3*3600*sim.Second, faults.Config{
+		CrashMTBF:    6 * 3600 * sim.Second,
+		BrownoutMTBF: 3 * 3600 * sim.Second,
+		StallMTBF:    2 * 3600 * sim.Second,
+		MigFailProb:  0.2,
+	})
 	cases := []struct {
 		name string
 		cfg  MacroConfig
@@ -561,6 +575,10 @@ func TestMacroGoldenDigests(t *testing.T) {
 			[3]string{"7d2328569bcef644", "a55165df491192b2", "2d398f6761dfba55"}},
 		{"gen-2h", MacroConfig{Trace: gen, Epoch: 45 * sim.Second, Horizon: 2 * 3600 * sim.Second},
 			[3]string{"47e482b62c5c4b47", "08414cbe8ace6a35", "d0b5eae34a63f3b8"}},
+		{"gen-storm", MacroConfig{Trace: gen, Epoch: 45 * sim.Second, Horizon: 3 * 3600 * sim.Second, Faults: &storm, Recovery: rcv},
+			[3]string{"f806fe0b38a1cfb6", "17d5502640c4cffb", "890513ee6629e6b9"}},
+		{"gen-storm-norecovery", MacroConfig{Trace: gen, Epoch: 45 * sim.Second, Horizon: 3 * 3600 * sim.Second, Faults: &storm},
+			[3]string{"99453212976e359e", "02d099ba83f2b135", "93080722d8decc80"}},
 	}
 	for _, c := range cases {
 		for p, pol := range []Policy{FirstFit{}, LeastLoaded{}, StealAware{}} {
@@ -575,6 +593,51 @@ func TestMacroGoldenDigests(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestInsertRetryMatchesStableSort: the retry queue kept sorted on insert must
+// hold, at every boundary, exactly what appending and then stable-sorting by
+// (readyAt, id) held. Random rounds interleave inserts with due-prefix cuts,
+// readyAt draws from a handful of instants so ties are the common case, and
+// ids are unique as a VM has at most one queue entry.
+func TestInsertRetryMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	stable := func(q []retryEntry) {
+		sort.SliceStable(q, func(a, b int) bool {
+			if q[a].readyAt != q[b].readyAt {
+				return q[a].readyAt < q[b].readyAt
+			}
+			return q[a].id < q[b].id
+		})
+	}
+	instant := func() sim.Time { return sim.Time(0).Add(sim.Duration(rng.Intn(6)) * 60 * sim.Second) }
+	for round := 0; round < 300; round++ {
+		n := 1 + rng.Intn(80)
+		var got, want []retryEntry
+		for _, id := range rng.Perm(3 * n)[:n] {
+			e := retryEntry{id: int32(id), attempt: int32(1 + rng.Intn(4)), readyAt: instant(), admit: rng.Intn(2) == 0}
+			got = insertRetry(got, e)
+			want = append(want, e)
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			// A boundary: cut the entries due by now off both queues.
+			stable(want)
+			now := instant()
+			cut := 0
+			for cut < len(want) && want[cut].readyAt <= now {
+				cut++
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: sorted insert %v != stable sort %v", round, got, want)
+			}
+			got, want = got[cut:], want[cut:]
+		}
+		stable(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: sorted insert %v != stable sort %v", round, got, want)
 		}
 	}
 }
