@@ -13,7 +13,7 @@
 //	experiments -run all -retries 2         # re-attempt timed-out/panicked trials
 //	experiments -run all -out run.jsonl     # JSON-lines artifact with metadata
 //	experiments -bench core -reps 5         # engine benchmark -> BENCH_core.json
-//	experiments -bench fleet -reps 3        # fleet/placement benchmark -> BENCH_fleet.json
+//	experiments -bench fleet -reps 10       # fleet/placement benchmark -> BENCH_fleet.json
 //	experiments -bench core -smoke          # CI pipeline check, seconds not minutes
 //	experiments -bench diff old.json new.json  # compare artifacts, exit 1 on regression
 //	experiments -run fleetobs -telemetry    # append flight-recorder sparklines

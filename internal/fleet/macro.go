@@ -186,9 +186,10 @@ type macroHost struct {
 	speed     float64
 	stealEMA  float64
 	util      float64 // last epoch's min(1, D/threads)
-	// live holds the hot state of the resident VMs in placement order.
-	// demand caches sum(w) over live, summed in that order; stale marks a
-	// membership change since the last sum.
+	// live holds the hot state of the resident VMs in placement order; only
+	// push, removeAt and dropAll change its membership. demand caches
+	// sum(w) over live, summed in that order; stale marks a membership
+	// change since the last sum.
 	live   []macroLive
 	demand float64
 	stale  bool
@@ -225,6 +226,38 @@ func (m *macroSim) liveRecord(id int32) macroLive {
 		served: vm.served,
 		steal:  vm.steal,
 	}
+}
+
+// push appends a resident at the end of h's placement order.
+func (h *macroHost) push(l macroLive) {
+	h.live = append(h.live, l)
+	h.stale = true
+}
+
+// removeAt drops resident k, keeping the others in placement order.
+func (h *macroHost) removeAt(k int) {
+	h.live = slices.Delete(h.live, k, k+1)
+	h.stale = true
+}
+
+// dropAll drops every resident.
+func (h *macroHost) dropAll() {
+	h.live = h.live[:0]
+	h.stale = true
+}
+
+// demandSum returns sum(w) over the residents in placement order, re-summed
+// only after a membership change. A fresh sum would add the same addends in
+// the same order, so reusing the cached one cannot change a bit.
+func (h *macroHost) demandSum() float64 {
+	if h.stale {
+		sum := 0.0
+		for k := range h.live {
+			sum += h.live[k].w
+		}
+		h.demand, h.stale = sum, false
+	}
+	return h.demand
 }
 
 // flushLive writes a live record's owned state back to the VM table.
@@ -620,8 +653,7 @@ func (m *macroSim) applyFaults(t sim.Time) {
 				m.flushLive(&h.live[k])
 				m.kill(h.live[k].id, t)
 			}
-			h.live = h.live[:0]
-			h.stale = true
+			h.dropAll()
 			h.committed = 0
 		case faults.Brownout:
 			m.brownouts++
@@ -765,8 +797,7 @@ func (m *macroSim) restart(e retryEntry, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(e.remaining)
 	}
-	h.live = append(h.live, m.liveRecord(e.id))
-	h.stale = true
+	h.push(m.liveRecord(e.id))
 	m.file(e.id)
 	m.restarts++
 	m.events++
@@ -815,13 +846,11 @@ func (m *macroSim) evacuate(t sim.Time) {
 			if hi < 0 || hi == i {
 				break // nowhere to go: stay overcommitted, steal rises
 			}
-			h.live = h.live[:len(h.live)-1]
-			h.stale = true
+			h.removeAt(len(h.live) - 1)
 			h.committed -= int32(vm.vcpus)
 			d := &m.hosts[hi]
 			d.committed += int32(vm.vcpus)
-			d.live = append(d.live, l)
-			d.stale = true
+			d.push(l)
 			vm.host = int32(hi)
 			m.evacuations++
 			m.reg.Counter("fleet.macro.evacuations").Inc()
@@ -899,8 +928,7 @@ func (m *macroSim) admit(idx int, hi int, t sim.Time) {
 	} else {
 		vm.depart = t.Add(tv.Lifetime)
 	}
-	h.live = append(h.live, m.liveRecord(int32(idx)))
-	h.stale = true
+	h.push(m.liveRecord(int32(idx)))
 	m.file(int32(idx))
 	m.placed++
 	m.reg.Counter("fleet.macro.placed").Inc()
@@ -918,8 +946,7 @@ func (m *macroSim) depart(id int32) {
 	for k := range h.live {
 		if h.live[k].id == id {
 			m.flushLive(&h.live[k])
-			h.live = append(h.live[:k], h.live[k+1:]...)
-			h.stale = true
+			h.removeAt(k)
 			break
 		}
 	}
@@ -1057,16 +1084,7 @@ func (m *macroSim) integrateRange(lo, hi int, t0, t1 sim.Time, done []int32) []i
 		} else if h.degradedUntil > t0 {
 			effT = h.degradeFactor * float64(h.threads)
 		}
-		// Same addends in the same order as a fresh sum, so reusing it while
-		// membership is unchanged cannot change a bit.
-		if h.stale {
-			sum := 0.0
-			for k := range h.live {
-				sum += h.live[k].w
-			}
-			h.demand, h.stale = sum, false
-		}
-		demand := h.demand
+		demand := h.demandSum()
 		rho := 1.0
 		util := 0.0
 		if effT <= 0 {
